@@ -135,6 +135,9 @@ fi
 echo "== results_table2.txt regen check (committed table matches the cost model) =="
 cargo run --release --offline -p rtped-bench --bin table2 | diff - results_table2.txt
 
+echo "== results_throughput.txt regen check (the 1,200,420-cycle HDTV schedule is byte-stable) =="
+cargo run --release --offline -p rtped-bench --bin throughput 2>/dev/null | diff - results_throughput.txt
+
 echo "== BENCH_hw_shard.json regen check (cycle model is byte-stable) =="
 shard_baseline=$(mktemp)
 cp BENCH_hw_shard.json "$shard_baseline"

@@ -4,8 +4,7 @@
 
 use rtped_core::timer::{black_box, Bench};
 
-use rtped_hw::svm_engine::SvmEngine;
-use rtped_hw::{AcceleratorConfig, HogAccelerator};
+use rtped_hw::{AcceleratorConfig, HogAccelerator, ShardGeometry};
 use rtped_image::GrayImage;
 use rtped_svm::LinearSvm;
 
@@ -21,10 +20,10 @@ fn pseudo_model() -> LinearSvm {
 }
 
 fn bench_schedule_math() {
-    let engine = SvmEngine::new();
+    let paper = ShardGeometry::paper();
     let mut group = Bench::new("hw_schedule");
     group.run("svm_engine_cycle_formula", || {
-        engine.cycles_per_frame(black_box(240), black_box(135))
+        paper.frame_cycles(black_box(240), black_box(135))
     });
 }
 

@@ -10,9 +10,8 @@
 use rtped_bench::{Experiment, ExperimentConfig};
 use rtped_dataset::scene::SceneBuilder;
 use rtped_eval::report::{float, Table};
-use rtped_hw::svm_engine::SvmEngine;
 use rtped_hw::timing::pixel_stream_cycles;
-use rtped_hw::{AcceleratorConfig, ClockDomain, HogAccelerator};
+use rtped_hw::{AcceleratorConfig, ClockDomain, HogAccelerator, ShardGeometry};
 
 fn main() {
     let quick = rtped_core::env::raw("RTPED_QUICK").is_some_and(|v| v == "1");
@@ -20,7 +19,7 @@ fn main() {
 
     // Schedule-level table: the paper's numbers are pure cycle arithmetic,
     // independent of content.
-    let engine = SvmEngine::new();
+    let paper = ShardGeometry::paper();
     let mut schedule = Table::new(
         "SVM engine schedule per frame size (288-cycle fill + 36 cycles/column per cell row)",
         &[
@@ -34,7 +33,7 @@ fn main() {
     );
     for (w, h) in [(640usize, 480usize), (1280, 720), (1920, 1080)] {
         let (cx, cy) = (w / 8, h / 8);
-        let cls = engine.cycles_per_frame(cx, cy);
+        let cls = paper.frame_cycles(cx, cy);
         let stream = pixel_stream_cycles(w, h);
         schedule.row_owned(vec![
             format!("{w}x{h}"),

@@ -6,6 +6,12 @@
 use rtped_core::ToJson;
 use rtped_fleet::{campaign, CampaignScale, FleetAggregate};
 
+/// The quick campaign's aggregate digest (`rtped-fleet --quick`). Any
+/// change to campaign behaviour — a runtime, engine, or hardware-model
+/// output that moves by one bit — changes it. Update it only for an
+/// intended behaviour change, and say why in the change log.
+const QUICK_DIGEST: &str = "158fea26289995fa";
+
 #[test]
 fn quick_campaign_aggregate_is_byte_identical_across_thread_counts() {
     let specs = campaign(CampaignScale::Quick);
@@ -25,5 +31,8 @@ fn quick_campaign_aggregate_is_byte_identical_across_thread_counts() {
     // The stress cells actually exercised the degradation machinery:
     // the aggregate counts injected faults and recovered instances.
     assert!(serial.contains("\"fault_counts\""));
-    assert!(serial.contains("\"digest\""));
+    assert!(
+        serial.contains(&format!("\"digest\": \"{QUICK_DIGEST}\"")),
+        "quick campaign digest moved from the pinned {QUICK_DIGEST}"
+    );
 }

@@ -27,6 +27,7 @@ use crate::ecc::{EccMode, EccStats};
 use crate::lockstep::LockstepReport;
 use crate::nhog_mem::BANKS;
 use crate::pipeline::{WatchdogEvent, WatchdogKind};
+use crate::svm_engine::EngineIntegrity;
 
 /// Environment variable selecting the ECC mode (`off` / `secded`).
 pub const ECC_ENV: &str = "RTPED_ECC";
@@ -308,6 +309,17 @@ pub struct FrameIntegrity {
 }
 
 impl FrameIntegrity {
+    /// Folds one engine run's counters in: ECC, injected upsets, and
+    /// MACBAR divergences.
+    pub fn absorb(&mut self, run: &EngineIntegrity) {
+        self.ecc.merge(&run.ecc);
+        self.injected_mem_flips += run.injected_mem_flips;
+        self.injected_mem_double_flips += run.injected_mem_double_flips;
+        self.injected_acc_flips += run.injected_acc_flips;
+        self.injected_stall_cycles += run.injected_stall_cycles;
+        self.macbar_mismatches += run.macbar_mismatches;
+    }
+
     /// The typed faults this frame raises, in a fixed order (memory, then
     /// datapath, then lockstep, then schedule). Empty means the frame's
     /// integrity is intact — possibly after corrections.

@@ -29,6 +29,20 @@ use rtped_svm::LinearSvm;
 
 use crate::svm_engine::{QuantizedModel, WindowScore};
 
+/// One window scored by both channels: the hardware score and the golden
+/// float score at the same coordinates. This is the per-window comparison
+/// under both the lockstep checker and `verify::compare_pipelines`.
+#[must_use]
+pub fn score_pair(
+    s: &WindowScore,
+    golden_map: &FeatureMap,
+    params: &HogParams,
+    model: &LinearSvm,
+) -> (f64, f64) {
+    let golden = score_window(golden_map, s.cx, s.cy, params, model);
+    (QuantizedModel::score_to_f64(s.raw), golden)
+}
+
 /// One row-strip whose channels disagreed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StripDivergence {
@@ -62,12 +76,6 @@ impl LockstepChecker {
         Self { tolerance }
     }
 
-    /// The tolerance in force.
-    #[must_use]
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
     /// Compares the hardware channel's native-scale scores against the
     /// float golden channel, strip by strip.
     ///
@@ -88,27 +96,22 @@ impl LockstepChecker {
             max_divergence: 0.0,
             divergences: Vec::new(),
         };
-        let mut i = 0;
-        while i < hw.len() {
-            let strip = hw[i].cy;
-            let mut strip_max = 0.0f64;
-            let mut windows = 0usize;
-            while i < hw.len() && hw[i].cy == strip {
-                let s = &hw[i];
-                let hw_score = QuantizedModel::score_to_f64(s.raw);
-                let golden = score_window(golden_map, s.cx, s.cy, params, model);
-                strip_max = strip_max.max((hw_score - golden).abs());
-                windows += 1;
-                i += 1;
-            }
+        for strip in hw.chunk_by(|a, b| a.cy == b.cy) {
+            let strip_max = strip
+                .iter()
+                .map(|s| {
+                    let (hw_score, golden) = score_pair(s, golden_map, params, model);
+                    (hw_score - golden).abs()
+                })
+                .fold(0.0f64, f64::max);
             report.strips_checked += 1;
-            report.windows_checked += windows;
+            report.windows_checked += strip.len();
             report.max_divergence = report.max_divergence.max(strip_max);
             if strip_max > self.tolerance {
                 report.divergences.push(StripDivergence {
-                    strip,
+                    strip: strip[0].cy,
                     max_error: strip_max,
-                    windows,
+                    windows: strip.len(),
                 });
             }
         }
@@ -161,7 +164,7 @@ impl LockstepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::svm_engine::SvmEngine;
+    use crate::pipeline::{AcceleratorConfig, HogAccelerator};
     use rtped_image::GrayImage;
 
     fn textured(w: usize, h: usize) -> GrayImage {
@@ -178,10 +181,8 @@ mod tests {
     fn channels(frame: &GrayImage) -> (Vec<WindowScore>, FeatureMap, HogParams, LinearSvm) {
         let params = HogParams::pedestrian();
         let model = pseudo_model();
-        let q = QuantizedModel::from_svm(&model);
-        let grid = crate::hist_unit::HistogramUnit::new().process_frame(frame);
-        let hw_map = crate::norm_unit::NormalizerUnit::new().process(&grid);
-        let scores = SvmEngine::new().classify_map(&hw_map, &q);
+        let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
+        let scores = acc.window_scores(&acc.extract_features(frame));
         let golden = FeatureMap::extract(frame, &params);
         (scores, golden, params, model)
     }

@@ -170,17 +170,24 @@ impl std::fmt::Display for MacMismatch {
 /// primary's P register) makes the copies diverge and the window score is
 /// flagged instead of silently wrong. Outputs come from the primary, so
 /// with no upsets the checked bar is bit-identical to [`MacBar`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Built with the check disarmed, the bar carries no shadow copy at all:
+/// it does exactly the plain [`MacBar`]'s MAC work and never reports a
+/// mismatch.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckedMacBar {
     primary: MacBar,
-    shadow: MacBar,
+    shadow: Option<MacBar>,
 }
 
 impl CheckedMacBar {
-    /// Creates a cleared checked bar.
+    /// Creates a cleared bar, with its shadow copy when `checked`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(checked: bool) -> Self {
+        Self {
+            primary: MacBar::new(),
+            shadow: checked.then(MacBar::new),
+        }
     }
 
     /// One clock cycle on both copies.
@@ -190,7 +197,9 @@ impl CheckedMacBar {
     /// Panics if the slices are not exactly [`LANES`] long.
     pub fn step(&mut self, features: &[i32], weights: &[i32]) {
         self.primary.step(features, weights);
-        self.shadow.step(features, weights);
+        if let Some(shadow) = &mut self.shadow {
+            shadow.step(features, weights);
+        }
     }
 
     /// Processes one window column on both copies.
@@ -200,7 +209,9 @@ impl CheckedMacBar {
     /// Panics if the slice lengths are not `LANES * per_lane`.
     pub fn process_column(&mut self, column: &[i32], weights: &[i32], per_lane: usize) {
         self.primary.process_column(column, weights, per_lane);
-        self.shadow.process_column(column, weights, per_lane);
+        if let Some(shadow) = &mut self.shadow {
+            shadow.process_column(column, weights, per_lane);
+        }
     }
 
     /// Flips an accumulator bit in the *primary* copy only — the injected
@@ -214,18 +225,16 @@ impl CheckedMacBar {
     }
 
     /// Compares the two accumulator files; the first diverging lane wins.
+    /// A bar without a shadow copy has nothing to compare and passes.
     ///
     /// # Errors
     ///
     /// Returns the lowest-index [`MacMismatch`] when the copies disagree.
     pub fn verify(&self) -> Result<(), MacMismatch> {
-        for (lane, (p, s)) in self
-            .primary
-            .lanes
-            .iter()
-            .zip(&self.shadow.lanes)
-            .enumerate()
-        {
+        let Some(shadow) = &self.shadow else {
+            return Ok(());
+        };
+        for (lane, (p, s)) in self.primary.lanes.iter().zip(&shadow.lanes).enumerate() {
             if p.value() != s.value() {
                 return Err(MacMismatch {
                     lane,
@@ -246,13 +255,9 @@ impl CheckedMacBar {
     /// Clears both copies.
     pub fn clear(&mut self) {
         self.primary.clear();
-        self.shadow.clear();
-    }
-
-    /// Cycles consumed since construction (primary copy).
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.primary.cycles()
+        if let Some(shadow) = &mut self.shadow {
+            shadow.clear();
+        }
     }
 }
 
@@ -351,17 +356,27 @@ mod tests {
         let column: Vec<i32> = (0..16 * per_lane).map(|i| (i % 89) as i32 - 44).collect();
         let weights: Vec<i32> = (0..16 * per_lane).map(|i| (i % 61) as i32 - 30).collect();
         let mut plain = MacBar::new();
-        let mut checked = CheckedMacBar::new();
+        let mut checked = CheckedMacBar::new(true);
         plain.process_column(&column, &weights, per_lane);
         checked.process_column(&column, &weights, per_lane);
         assert_eq!(checked.reduce(), plain.reduce());
-        assert_eq!(checked.cycles(), plain.cycles());
         assert_eq!(checked.verify(), Ok(()));
     }
 
     #[test]
+    fn unchecked_bar_has_no_shadow_and_never_flags() {
+        let mut unchecked = CheckedMacBar::new(false);
+        assert!(unchecked.shadow.is_none());
+        unchecked.step(&[3; 16], &[5; 16]);
+        unchecked.inject_acc_flip(7, 20);
+        // The upset lands in the output, and nothing notices.
+        assert_eq!(unchecked.verify(), Ok(()));
+        assert_eq!(unchecked.reduce(), 15 * 16 + (1 << 20));
+    }
+
+    #[test]
     fn checked_bar_catches_an_injected_upset() {
-        let mut checked = CheckedMacBar::new();
+        let mut checked = CheckedMacBar::new(true);
         checked.step(&[3; 16], &[5; 16]);
         checked.inject_acc_flip(7, 20);
         let mismatch = checked.verify().unwrap_err();

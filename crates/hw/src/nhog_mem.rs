@@ -672,6 +672,7 @@ mod tests {
         // Two block columns / 72 cycles = one window column / 36 cycles,
         // the number the engine's schedule is built from.
         let schedule = analyze_column_pair_access(BankLayout::ParityRole, 0, 0);
-        assert_eq!(schedule.min_cycles / 2, crate::svm_engine::COLUMN_CYCLES);
+        let column = crate::shard::ShardGeometry::paper().column_cycles();
+        assert_eq!(schedule.min_cycles / 2, column);
     }
 }

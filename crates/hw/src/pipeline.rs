@@ -25,14 +25,15 @@ use rtped_hog::params::HogParams;
 use rtped_image::GrayImage;
 use rtped_svm::LinearSvm;
 
+use crate::ecc::EccMode;
 use crate::hist_unit::HistogramUnit;
 use crate::integrity::{FrameIntegrity, IntegrityConfig, ShardQuarantineEvent, SoftErrorDose};
 use crate::lockstep::{LockstepChecker, LockstepReport};
 use crate::norm_unit::{HwFeatureMap, NormalizerUnit};
 use crate::scaler::FeatureScaler;
-use crate::shard::{bands, shard_doses, ShardFleet, ShardGeometry};
+use crate::shard::{bands, shard_doses, Band, ShardFleet, ShardGeometry};
 use crate::svm_engine::{
-    QuantizedModel, SvmEngine, WindowScore, COLUMN_CYCLES, FILL_CYCLES, WINDOW_CELLS,
+    window_strips, QuantizedModel, StripObservation, SvmEngine, WindowScore, WINDOW_CELLS,
 };
 use crate::timing::{pixel_stream_cycles, ClockDomain};
 
@@ -157,7 +158,6 @@ pub struct WatchdogEvent {
 /// violation as a typed [`WatchdogEvent`].
 #[derive(Debug, Clone, Default)]
 pub struct PipelineWatchdog {
-    strips: u64,
     events: Vec<WatchdogEvent>,
 }
 
@@ -168,82 +168,43 @@ impl PipelineWatchdog {
         Self::default()
     }
 
-    /// The schedule budget for one strip of a `cells_x`-wide map:
-    /// `288 + (cells_x − 1) × 36` cycles.
-    #[must_use]
-    pub fn strip_budget(cells_x: usize) -> u64 {
-        FILL_CYCLES + (cells_x as u64 - 1) * COLUMN_CYCLES
-    }
-
-    /// Feeds one strip's observation, holding it to the paper schedule.
-    pub fn observe_strip(
-        &mut self,
-        strip: usize,
-        cells_x: usize,
-        windows: usize,
-        expected_windows: usize,
-        observed_cycles: u64,
-    ) {
-        self.observe_strip_budget(
-            strip,
-            Self::strip_budget(cells_x),
-            windows,
-            expected_windows,
-            observed_cycles,
-        );
-    }
-
-    /// Feeds one strip's observation against an explicit cycle budget —
-    /// the geometry-derived schedule of a parametric shard
+    /// Feeds one strip's observation against its cycle budget — the
+    /// geometry-derived schedule of the shard that ran it
     /// ([`ShardGeometry::strip_cycles`]).
     pub fn observe_strip_budget(
         &mut self,
-        strip: usize,
+        obs: &StripObservation,
         budget: u64,
-        windows: usize,
         expected_windows: usize,
-        observed_cycles: u64,
     ) {
-        self.strips += 1;
-        if observed_cycles > budget {
-            self.events.push(WatchdogEvent {
-                strip,
-                kind: WatchdogKind::Overrun {
-                    observed: observed_cycles,
-                    budget,
-                },
-            });
-        }
-        if windows < expected_windows {
-            self.events.push(WatchdogEvent {
-                strip,
-                kind: WatchdogKind::Stall {
-                    windows,
-                    expected: expected_windows,
-                },
-            });
-        }
+        let strip = obs.strip;
+        self.events.extend(
+            Self::violations(obs, budget, expected_windows)
+                .map(|kind| WatchdogEvent { strip, kind }),
+        );
     }
 
-    /// Strips observed so far.
-    #[must_use]
-    pub fn strips(&self) -> u64 {
-        self.strips
+    /// The schedule rule itself: what one strip observation violates, an
+    /// overrun before a stall. Fault containment applies the same rule
+    /// whether or not a watchdog is recording.
+    pub fn violations(
+        obs: &StripObservation,
+        budget: u64,
+        expected_windows: usize,
+    ) -> impl Iterator<Item = WatchdogKind> {
+        let overrun = (obs.observed_cycles > budget).then_some(WatchdogKind::Overrun {
+            observed: obs.observed_cycles,
+            budget,
+        });
+        let stall = (obs.windows < expected_windows).then_some(WatchdogKind::Stall {
+            windows: obs.windows,
+            expected: expected_windows,
+        });
+        overrun.into_iter().chain(stall)
     }
 
-    /// Violations recorded so far, in observation order.
-    #[must_use]
-    pub fn events(&self) -> &[WatchdogEvent] {
-        &self.events
-    }
-
-    /// Whether no violation has been observed.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Consumes the watchdog, yielding its violations.
+    /// Consumes the watchdog, yielding its violations in observation
+    /// order.
     #[must_use]
     pub fn into_events(self) -> Vec<WatchdogEvent> {
         self.events
@@ -304,251 +265,64 @@ impl HogAccelerator {
         NormalizerUnit::new().process(&grid)
     }
 
-    /// Runs one frame through the full pipeline.
+    /// Runs one frame through the full pipeline: the integrity-off,
+    /// undosed, unsharded case of [`HogAccelerator::process_with_integrity`].
     ///
     /// # Panics
     ///
     /// Panics if the frame is smaller than 2×2 cells.
     #[must_use]
     pub fn process(&self, frame: &GrayImage) -> AcceleratorReport {
-        let base = self.extract_features(frame);
-        let extractor_cycles = pixel_stream_cycles(frame.width(), frame.height());
-        let engine = SvmEngine::with_geometry(self.config.geometry);
-        let scaler = FeatureScaler::new();
-        let (wc, hc) = WINDOW_CELLS;
-        let cell = 8usize;
-        let mut detections = Vec::new();
-        let mut scale_reports = Vec::new();
-
-        for &scale in &self.config.scales {
-            let (map, scaler_cycles) = if (scale - 1.0).abs() < 1e-9 {
-                (base.clone(), 0u64)
-            } else {
-                let scaled = scaler.scale_by(&base, scale);
-                let (nx, ny) = scaled.cells();
-                (scaled, scaler.cycles(nx, ny))
-            };
-            let (cx_cells, cy_cells) = map.cells();
-            if cx_cells < wc || cy_cells < hc {
-                scale_reports.push(ScaleReport {
-                    scale,
-                    cells: map.cells(),
-                    windows: 0,
-                    classifier_cycles: 0,
-                    scaler_cycles,
-                });
-                continue;
-            }
-            let scores = engine.classify_map(&map, &self.model);
-            let windows = scores.len();
-            for s in scores {
-                if s.raw > self.threshold_raw {
-                    let bbox = BoundingBox::new(
-                        (s.cx * cell) as i64,
-                        (s.cy * cell) as i64,
-                        (wc * cell) as u64,
-                        (hc * cell) as u64,
-                    )
-                    .scaled(scale);
-                    detections.push(Detection {
-                        bbox,
-                        score: QuantizedModel::score_to_f64(s.raw),
-                        scale,
-                    });
-                }
-            }
-            scale_reports.push(ScaleReport {
-                scale,
-                cells: map.cells(),
-                windows,
-                classifier_cycles: engine.cycles_per_frame(cx_cells, cy_cells),
-                scaler_cycles,
-            });
-        }
-
-        let detections = match self.config.nms_iou {
-            Some(iou) => non_maximum_suppression(detections, iou),
-            None => detections,
-        };
-
-        AcceleratorReport {
-            detections,
-            extractor_cycles,
-            scale_reports,
-        }
+        let off = IntegrityConfig::off();
+        self.run(frame, None, &off, &SoftErrorDose::none(), None).0
     }
 
-    /// [`HogAccelerator::process`] on the integrity-instrumented datapath:
-    /// ECC'd memories and checked MACBARs on every scale, plus — on the
-    /// native scale — the lockstep cross-check against `golden` (the float
-    /// model this accelerator was quantized from) and the schedule
-    /// watchdog. The deterministic `dose` is injected into the native
-    /// scale's engine.
-    ///
-    /// With [`IntegrityConfig::off`] and an empty dose the
-    /// [`AcceleratorReport`] is bit-identical to [`HogAccelerator::process`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is smaller than 2×2 cells.
+    /// The raw score of every window of `map` through this accelerator's
+    /// own quantized model and geometry, integrity off — the classifier
+    /// output before thresholding, for golden-model comparisons and test
+    /// vectors.
     #[must_use]
-    pub fn process_with_integrity(
-        &self,
-        frame: &GrayImage,
-        golden: &LinearSvm,
-        integrity: &IntegrityConfig,
-        dose: &SoftErrorDose,
-    ) -> (AcceleratorReport, FrameIntegrity) {
-        let base = self.extract_features(frame);
-        let extractor_cycles = pixel_stream_cycles(frame.width(), frame.height());
-        let engine = SvmEngine::with_geometry(self.config.geometry);
-        let scaler = FeatureScaler::new();
-        let (wc, hc) = WINDOW_CELLS;
-        let cell = 8usize;
-        let mut detections = Vec::new();
-        let mut scale_reports = Vec::new();
-        let mut fi = FrameIntegrity::default();
-        let mut watchdog = integrity.watchdog.then(PipelineWatchdog::new);
-        let mut native_scores: Vec<WindowScore> = Vec::new();
-
-        for (scale_index, &scale) in self.config.scales.iter().enumerate() {
-            let (map, scaler_cycles) = if (scale - 1.0).abs() < 1e-9 {
-                (base.clone(), 0u64)
-            } else {
-                let scaled = scaler.scale_by(&base, scale);
-                let (nx, ny) = scaled.cells();
-                (scaled, scaler.cycles(nx, ny))
-            };
-            let (cx_cells, cy_cells) = map.cells();
-            if cx_cells < wc || cy_cells < hc {
-                scale_reports.push(ScaleReport {
-                    scale,
-                    cells: map.cells(),
-                    windows: 0,
-                    classifier_cycles: 0,
-                    scaler_cycles,
-                });
-                continue;
-            }
-            // The dose strikes the native engine; the scaled engine runs
-            // the same protections but is not a target (one SEU, one bank).
-            let scale_dose = if scale_index == 0 {
-                *dose
-            } else {
-                SoftErrorDose::none()
-            };
-            let result = engine.classify_map_integrity(
-                &map,
+    pub fn window_scores(&self, map: &HwFeatureMap) -> Vec<WindowScore> {
+        let strips = 0..window_strips(map);
+        SvmEngine::with_geometry(self.config.geometry)
+            .classify_band(
+                map,
                 &self.model,
-                integrity.ecc,
-                integrity.checked_macbar,
-                &scale_dose,
-            );
-            fi.ecc.merge(&result.ecc);
-            fi.injected_mem_flips += result.injected_mem_flips;
-            fi.injected_mem_double_flips += result.injected_mem_double_flips;
-            fi.injected_acc_flips += result.injected_acc_flips;
-            fi.injected_stall_cycles += result.injected_stall_cycles;
-            fi.macbar_mismatches += result.macbar_mismatches;
-            if scale_index == 0 {
-                if let Some(wd) = watchdog.as_mut() {
-                    for obs in &result.strips {
-                        wd.observe_strip_budget(
-                            obs.strip,
-                            self.config.geometry.strip_cycles(cx_cells),
-                            obs.windows,
-                            cx_cells - wc + 1,
-                            obs.observed_cycles,
-                        );
-                    }
-                }
-            }
-            let windows = result.scores.len();
-            for s in &result.scores {
-                if s.raw > self.threshold_raw {
-                    let bbox = BoundingBox::new(
-                        (s.cx * cell) as i64,
-                        (s.cy * cell) as i64,
-                        (wc * cell) as u64,
-                        (hc * cell) as u64,
-                    )
-                    .scaled(scale);
-                    detections.push(Detection {
-                        bbox,
-                        score: QuantizedModel::score_to_f64(s.raw),
-                        scale,
-                    });
-                }
-            }
-            scale_reports.push(ScaleReport {
-                scale,
-                cells: map.cells(),
-                windows,
-                classifier_cycles: engine.cycles_per_frame(cx_cells, cy_cells)
-                    + result.injected_stall_cycles,
-                scaler_cycles,
-            });
-            if scale_index == 0 {
-                native_scores = result.scores;
-            }
-        }
-
-        if let Some(wd) = watchdog {
-            fi.watchdog_events = wd.into_events();
-        }
-        if let Some(tolerance) = integrity.lockstep_tolerance {
-            // The golden channel sees the same delivered frame, so only
-            // datapath divergence (not input corruption) can trip it.
-            let params = HogParams::pedestrian();
-            let golden_map = FeatureMap::extract(frame, &params);
-            fi.lockstep = Some(LockstepChecker::new(tolerance).check_scores(
-                &native_scores,
-                &golden_map,
-                &params,
-                golden,
-            ));
-        }
-
-        let detections = match self.config.nms_iou {
-            Some(iou) => non_maximum_suppression(detections, iou),
-            None => detections,
-        };
-
-        (
-            AcceleratorReport {
-                detections,
-                extractor_cycles,
-                scale_reports,
-            },
-            fi,
-        )
+                EccMode::Off,
+                false,
+                &SoftErrorDose::none(),
+                strips,
+            )
+            .scores
     }
 
-    /// [`HogAccelerator::process_with_integrity`] banded across a
-    /// [`ShardFleet`] of shard instances — the multi-accelerator
-    /// deployment with fault containment.
+    /// Runs one frame through the integrity-instrumented pipeline: ECC'd
+    /// memories and checked MACBARs on every scale, plus — on the native
+    /// scale — the lockstep cross-check against `golden` (the float model
+    /// this accelerator was quantized from) and the schedule watchdog.
+    /// The deterministic `dose` strikes the native scale only.
     ///
-    /// The native-scale map is split into contiguous strip bands
-    /// ([`crate::shard::bands`]), one per configured shard. Each band
-    /// runs on its own engine instance with its own slice of the frame
-    /// dose ([`crate::shard::shard_doses`]) and its own integrity
-    /// surface (ECC'd band memory, checked MACBARs, schedule watchdog,
-    /// band lockstep against the golden channel). A band whose run
-    /// raises an uncorrectable ECC detection, a MACBAR divergence, a
-    /// schedule violation, or a lockstep divergence quarantines its
-    /// serving shard and is re-executed clean on a healthy substitute,
-    /// so the merged scores stay bit-identical to the no-fault
-    /// single-instance run; the faulting attempt's counters remain in
-    /// the [`FrameIntegrity`] (nothing escapes silently), only its
-    /// scores are discarded. A fully-quarantined fleet yields an empty
-    /// report flagged [`IntegrityFault::FleetExhausted`] instead of
-    /// unattested output.
+    /// With no `fleet` the native map runs on one engine, and an
+    /// uncorrectable fault is reported while the frame is still served.
+    /// With [`IntegrityConfig::off`] and an empty dose the
+    /// [`AcceleratorReport`] is then bit-identical to
+    /// [`HogAccelerator::process`].
     ///
-    /// Non-native scales run on the unsharded scaled engines exactly as
-    /// in [`HogAccelerator::process_with_integrity`]; the dose targets
-    /// the native scale only, as there. When the fleet has more shards
-    /// than the frame has strips, the surplus bands are empty and any
-    /// dose units dealt to them inject nothing.
+    /// With a [`ShardFleet`] — the multi-accelerator deployment with fault
+    /// containment — the native map is split into contiguous strip bands
+    /// ([`crate::shard::bands`]), one per shard, each with its own slice
+    /// of the dose ([`crate::shard::shard_doses`]) and its own integrity
+    /// surface. A band whose run raises an uncorrectable ECC detection, a
+    /// MACBAR divergence, a schedule violation, or a lockstep divergence
+    /// quarantines its serving shard and is re-executed clean on a
+    /// healthy substitute, so the merged scores stay bit-identical to the
+    /// no-fault single-instance run; the faulting attempt's counters
+    /// remain in the [`FrameIntegrity`] (nothing escapes silently), only
+    /// its scores are discarded. A fully-quarantined fleet yields an
+    /// empty report flagged [`IntegrityFault::FleetExhausted`] instead of
+    /// unattested output. When the fleet has more shards than the frame
+    /// has strips, the surplus bands are empty and any dose units dealt
+    /// to them inject nothing.
     ///
     /// [`IntegrityFault::FleetExhausted`]: crate::integrity::IntegrityFault::FleetExhausted
     ///
@@ -557,163 +331,188 @@ impl HogAccelerator {
     /// Panics if the frame is smaller than 2×2 cells or `fleet` was
     /// built for a different [`ShardGeometry`] than this accelerator's.
     #[must_use]
-    pub fn process_with_integrity_sharded(
+    pub fn process_with_integrity(
         &self,
         frame: &GrayImage,
         golden: &LinearSvm,
         integrity: &IntegrityConfig,
         dose: &SoftErrorDose,
-        fleet: &mut ShardFleet,
+        fleet: Option<&mut ShardFleet>,
     ) -> (AcceleratorReport, FrameIntegrity) {
-        assert_eq!(
-            fleet.geometry(),
-            self.config.geometry,
-            "fleet geometry does not match the accelerator's"
-        );
-        let base = self.extract_features(frame);
+        self.run(frame, Some(golden), integrity, dose, fleet)
+    }
+
+    /// The one frame loop behind both entry points: one pass per scale
+    /// over that scale's strip bands. `golden: None` disarms lockstep.
+    fn run(
+        &self,
+        frame: &GrayImage,
+        golden: Option<&LinearSvm>,
+        integrity: &IntegrityConfig,
+        dose: &SoftErrorDose,
+        mut fleet: Option<&mut ShardFleet>,
+    ) -> (AcceleratorReport, FrameIntegrity) {
+        let geometry = self.config.geometry;
         let extractor_cycles = pixel_stream_cycles(frame.width(), frame.height());
-        let engine = SvmEngine::with_geometry(self.config.geometry);
-        let scaler = FeatureScaler::new();
-        let (wc, hc) = WINDOW_CELLS;
-        let cell = 8usize;
-        let shards = fleet.shard_count();
         let mut fi = FrameIntegrity::default();
         let mut watchdog = integrity.watchdog.then(PipelineWatchdog::new);
-
-        if fleet.begin_frame().is_empty() {
-            fleet.record_exhausted();
-            fi.fleet_exhausted = Some(shards as u64);
-            return (
-                AcceleratorReport {
-                    detections: Vec::new(),
-                    extractor_cycles,
-                    scale_reports: Vec::new(),
-                },
-                fi,
+        if let Some(fleet) = fleet.as_deref_mut() {
+            assert_eq!(
+                fleet.geometry(),
+                geometry,
+                "fleet geometry does not match the accelerator's"
             );
+            if fleet.begin_frame().is_empty() {
+                return exhausted(fleet, fi, watchdog, extractor_cycles);
+            }
         }
 
-        // One golden channel serves every band's lockstep comparison.
+        // One golden channel serves every band's lockstep comparison. It
+        // sees the same delivered frame, so only datapath divergence (not
+        // input corruption) can trip it.
         let params = HogParams::pedestrian();
-        let checker = integrity.lockstep_tolerance.map(LockstepChecker::new);
-        let golden_map = checker
-            .is_some()
-            .then(|| FeatureMap::extract(frame, &params));
+        let golden = integrity
+            .lockstep_tolerance
+            .zip(golden)
+            .map(|(tolerance, model)| {
+                let map = FeatureMap::extract(frame, &params);
+                (LockstepChecker::new(tolerance), map, model)
+            });
+        let lockstep = |scores: &[WindowScore]| {
+            golden
+                .as_ref()
+                .map(|(checker, map, model)| checker.check_scores(scores, map, &params, model))
+        };
 
+        let base = self.extract_features(frame);
+        let engine = SvmEngine::with_geometry(geometry);
+        let scaler = FeatureScaler::new();
+        let (wc, hc) = WINDOW_CELLS;
         let mut detections = Vec::new();
         let mut scale_reports = Vec::new();
-        let mut native_scores: Vec<WindowScore> = Vec::new();
         let mut frame_lockstep: Option<LockstepReport> = None;
-        let (cx_cells, cy_cells) = base.cells();
 
-        if cx_cells < wc || cy_cells < hc {
-            scale_reports.push(ScaleReport {
-                scale: 1.0,
-                cells: base.cells(),
+        for (scale_index, &scale) in self.config.scales.iter().enumerate() {
+            let scaled;
+            let (map, scaler_cycles) = if (scale - 1.0).abs() < 1e-9 {
+                (&base, 0)
+            } else {
+                scaled = scaler.scale_by(&base, scale);
+                let (nx, ny) = scaled.cells();
+                (&scaled, scaler.cycles(nx, ny))
+            };
+            let (cells_x, cells_y) = map.cells();
+            let mut report = ScaleReport {
+                scale,
+                cells: map.cells(),
                 windows: 0,
                 classifier_cycles: 0,
-                scaler_cycles: 0,
-            });
-        } else {
-            let strips = cy_cells - hc + 1;
-            let windows_per_strip = cx_cells - wc + 1;
-            let strip_cost = self.config.geometry.strip_cycles(cx_cells);
-            let doses = shard_doses(dose, shards);
-            let mut shard_cycles = vec![0u64; shards];
-            let mut exhausted = false;
+                scaler_cycles,
+            };
+            if cells_x < wc || cells_y < hc {
+                scale_reports.push(report);
+                continue;
+            }
+            // The native map carries the dose and the schedule and
+            // lockstep checks; a fleet bands it across its shards, each
+            // band with its own slice of the dose. Every other scale is
+            // one undosed band on its own engine.
+            let native = scale_index == 0;
+            let strips = window_strips(map);
+            let mut shards = fleet.as_deref_mut().filter(|_| native);
+            let plan: Vec<(Band, SoftErrorDose)> = match shards.as_deref() {
+                Some(f) => bands(strips, f.shard_count())
+                    .into_iter()
+                    .zip(shard_doses(dose, f.shard_count()))
+                    .collect(),
+                None => {
+                    let band = Band {
+                        index: 0,
+                        strip_lo: 0,
+                        strip_hi: strips,
+                    };
+                    vec![(band, if native { *dose } else { SoftErrorDose::none() })]
+                }
+            };
+            let expected_windows = cells_x - wc + 1;
+            let strip_budget = geometry.strip_cycles(cells_x);
+            let mut shard_cycles = vec![0u64; plan.len()];
+            let mut scores = Vec::new();
 
-            for band in bands(strips, shards) {
+            for (band, band_dose) in plan {
                 if band.strips() == 0 {
                     continue;
                 }
-                let Some(serving) = fleet.assign(band.index) else {
-                    exhausted = true;
-                    break;
+                let classify = |dose: &SoftErrorDose| {
+                    let (ecc, checked) = (integrity.ecc, integrity.checked_macbar);
+                    let strips = band.strip_lo..band.strip_hi;
+                    engine.classify_band(map, &self.model, ecc, checked, dose, strips)
                 };
-                if serving != band.index {
-                    // The home shard sat the frame out in quarantine.
-                    fleet.record_failover();
-                    fi.shard_failovers += 1;
+                let band_cycles = geometry.band_cycles(cells_x, band.strips());
+                let mut serving = band.index;
+                if let Some(f) = shards.as_deref_mut() {
+                    let Some(shard) = f.assign(band.index) else {
+                        return exhausted(f, fi, watchdog, extractor_cycles);
+                    };
+                    serving = shard;
+                    if serving != band.index {
+                        // The home shard sat the frame out in quarantine.
+                        f.record_failover();
+                        fi.shard_failovers += 1;
+                    }
                 }
-                let attempt = engine.classify_band_integrity(
-                    &base,
-                    &self.model,
-                    integrity.ecc,
-                    integrity.checked_macbar,
-                    &doses[band.index],
-                    band.strip_lo,
-                    band.strip_hi,
-                );
-                shard_cycles[serving] += self.config.geometry.band_cycles(cx_cells, band.strips())
-                    + attempt.injected_stall_cycles;
+                let attempt = classify(&band_dose);
+                shard_cycles[serving] += band_cycles + attempt.injected_stall_cycles;
                 // The attempt's counters stay in the frame record even if
                 // its scores are thrown away — a contained fault must not
                 // become a silent one.
-                fi.ecc.merge(&attempt.ecc);
-                fi.injected_mem_flips += attempt.injected_mem_flips;
-                fi.injected_mem_double_flips += attempt.injected_mem_double_flips;
-                fi.injected_acc_flips += attempt.injected_acc_flips;
-                fi.injected_stall_cycles += attempt.injected_stall_cycles;
-                fi.macbar_mismatches += attempt.macbar_mismatches;
-                if let Some(wd) = watchdog.as_mut() {
-                    for obs in &attempt.strips {
-                        wd.observe_strip_budget(
-                            obs.strip,
-                            strip_cost,
-                            obs.windows,
-                            windows_per_strip,
-                            obs.observed_cycles,
-                        );
+                fi.absorb(&attempt);
+                let mut attempt_lockstep = None;
+                if native {
+                    if let Some(wd) = watchdog.as_mut() {
+                        for obs in &attempt.strips {
+                            wd.observe_strip_budget(obs, strip_budget, expected_windows);
+                        }
                     }
+                    attempt_lockstep = lockstep(&attempt.scores);
                 }
-                let attempt_lockstep = checker
-                    .as_ref()
-                    .zip(golden_map.as_ref())
-                    .map(|(c, m)| c.check_scores(&attempt.scores, m, &params, golden));
+                let off_schedule = |obs| {
+                    let mut kinds =
+                        PipelineWatchdog::violations(obs, strip_budget, expected_windows);
+                    kinds.next().is_some()
+                };
                 let faulted = attempt.ecc.uncorrectable_total() > 0
                     || attempt.macbar_mismatches > 0
-                    || attempt
-                        .strips
-                        .iter()
-                        .any(|o| o.observed_cycles > strip_cost || o.windows < windows_per_strip)
+                    || attempt.strips.iter().any(off_schedule)
                     || attempt_lockstep.as_ref().is_some_and(|r| !r.is_clean());
-                let (scores, band_lockstep) = if faulted {
-                    let cooldown = fleet.quarantine(serving);
-                    fi.shard_quarantines.push(ShardQuarantineEvent {
-                        shard: serving,
-                        cooldown,
-                    });
-                    let Some(substitute) = fleet.assign(band.index) else {
-                        exhausted = true;
-                        break;
-                    };
-                    fleet.record_failover();
-                    fi.shard_failovers += 1;
-                    // The clean re-execution: same band, no dose — its
-                    // scores are the ones the no-fault run produces.
-                    let rerun = engine.classify_band_integrity(
-                        &base,
-                        &self.model,
-                        integrity.ecc,
-                        integrity.checked_macbar,
-                        &SoftErrorDose::none(),
-                        band.strip_lo,
-                        band.strip_hi,
-                    );
-                    shard_cycles[substitute] +=
-                        self.config.geometry.band_cycles(cx_cells, band.strips());
-                    fi.ecc.merge(&rerun.ecc);
-                    fleet.record_band(substitute);
-                    let rerun_lockstep = checker
-                        .as_ref()
-                        .zip(golden_map.as_ref())
-                        .map(|(c, m)| c.check_scores(&rerun.scores, m, &params, golden));
-                    (rerun.scores, rerun_lockstep)
-                } else {
-                    fleet.record_band(serving);
-                    (attempt.scores, attempt_lockstep)
+                let (band_scores, band_lockstep) = match shards.as_deref_mut() {
+                    Some(f) if faulted => {
+                        let cooldown = f.quarantine(serving);
+                        fi.shard_quarantines.push(ShardQuarantineEvent {
+                            shard: serving,
+                            cooldown,
+                        });
+                        let Some(substitute) = f.assign(band.index) else {
+                            return exhausted(f, fi, watchdog, extractor_cycles);
+                        };
+                        f.record_failover();
+                        fi.shard_failovers += 1;
+                        // The clean re-execution: same band, no dose — its
+                        // scores are the ones the no-fault run produces.
+                        let rerun = classify(&SoftErrorDose::none());
+                        shard_cycles[substitute] += band_cycles;
+                        fi.absorb(&rerun);
+                        f.record_band(substitute);
+                        let rerun_lockstep = lockstep(&rerun.scores);
+                        (rerun.scores, rerun_lockstep)
+                    }
+                    Some(f) => {
+                        f.record_band(serving);
+                        (attempt.scores, attempt_lockstep)
+                    }
+                    None => (attempt.scores, attempt_lockstep),
                 };
-                native_scores.extend(scores);
+                scores.extend(band_scores);
                 if let Some(band_report) = band_lockstep {
                     match frame_lockstep.as_mut() {
                         Some(merged) => merged.merge(&band_report),
@@ -722,120 +521,25 @@ impl HogAccelerator {
                 }
             }
 
-            if exhausted {
-                fleet.record_exhausted();
-                fi.fleet_exhausted = Some(shards as u64);
-                if let Some(wd) = watchdog {
-                    fi.watchdog_events = wd.into_events();
-                }
-                return (
-                    AcceleratorReport {
-                        detections: Vec::new(),
-                        extractor_cycles,
-                        scale_reports: Vec::new(),
-                    },
-                    fi,
-                );
-            }
-
-            let windows = native_scores.len();
-            for s in &native_scores {
-                if s.raw > self.threshold_raw {
-                    let bbox = BoundingBox::new(
-                        (s.cx * cell) as i64,
-                        (s.cy * cell) as i64,
-                        (wc * cell) as u64,
-                        (hc * cell) as u64,
-                    )
-                    .scaled(1.0);
-                    detections.push(Detection {
-                        bbox,
-                        score: QuantizedModel::score_to_f64(s.raw),
-                        scale: 1.0,
-                    });
-                }
-            }
-            scale_reports.push(ScaleReport {
-                scale: 1.0,
-                cells: base.cells(),
-                windows,
-                // The shards run in parallel; the native latency is the
-                // busiest shard's.
-                classifier_cycles: shard_cycles.iter().copied().max().unwrap_or(0),
-                scaler_cycles: 0,
-            });
+            report.windows = scores.len();
+            // The shards run in parallel; the scale's latency is the
+            // busiest shard's.
+            report.classifier_cycles = shard_cycles.into_iter().max().unwrap_or(0);
+            detections.extend(self.detections(&scores, scale));
+            scale_reports.push(report);
         }
 
-        for &scale in self.config.scales.iter().skip(1) {
-            let (map, scaler_cycles) = if (scale - 1.0).abs() < 1e-9 {
-                (base.clone(), 0u64)
-            } else {
-                let scaled = scaler.scale_by(&base, scale);
-                let (nx, ny) = scaled.cells();
-                (scaled, scaler.cycles(nx, ny))
-            };
-            let (nx, ny) = map.cells();
-            if nx < wc || ny < hc {
-                scale_reports.push(ScaleReport {
-                    scale,
-                    cells: map.cells(),
-                    windows: 0,
-                    classifier_cycles: 0,
-                    scaler_cycles,
-                });
-                continue;
-            }
-            let result = engine.classify_map_integrity(
-                &map,
-                &self.model,
-                integrity.ecc,
-                integrity.checked_macbar,
-                &SoftErrorDose::none(),
-            );
-            fi.ecc.merge(&result.ecc);
-            fi.macbar_mismatches += result.macbar_mismatches;
-            let windows = result.scores.len();
-            for s in &result.scores {
-                if s.raw > self.threshold_raw {
-                    let bbox = BoundingBox::new(
-                        (s.cx * cell) as i64,
-                        (s.cy * cell) as i64,
-                        (wc * cell) as u64,
-                        (hc * cell) as u64,
-                    )
-                    .scaled(scale);
-                    detections.push(Detection {
-                        bbox,
-                        score: QuantizedModel::score_to_f64(s.raw),
-                        scale,
-                    });
-                }
-            }
-            scale_reports.push(ScaleReport {
-                scale,
-                cells: map.cells(),
-                windows,
-                classifier_cycles: engine.cycles_per_frame(nx, ny),
-                scaler_cycles,
-            });
+        fi.watchdog_events = watchdog
+            .map(PipelineWatchdog::into_events)
+            .unwrap_or_default();
+        fi.lockstep = frame_lockstep.or_else(|| lockstep(&[]));
+        if let Some(fleet) = fleet {
+            fi.shards_active = fleet.healthy().len() as u64;
         }
-
-        if let Some(wd) = watchdog {
-            fi.watchdog_events = wd.into_events();
-        }
-        fi.lockstep = frame_lockstep.or_else(|| {
-            checker
-                .as_ref()
-                .zip(golden_map.as_ref())
-                .map(|(c, m)| c.check_scores(&[], m, &params, golden))
-        });
-        fi.shards_active = fleet.healthy().len() as u64;
-
         let detections = match self.config.nms_iou {
             Some(iou) => non_maximum_suppression(detections, iou),
             None => detections,
         };
-
         (
             AcceleratorReport {
                 detections,
@@ -844,6 +548,31 @@ impl HogAccelerator {
             },
             fi,
         )
+    }
+
+    /// Thresholds one scale's raw window scores into detections in native
+    /// frame coordinates.
+    fn detections<'a>(
+        &'a self,
+        scores: &'a [WindowScore],
+        scale: f64,
+    ) -> impl Iterator<Item = Detection> + 'a {
+        let (wc, hc) = WINDOW_CELLS;
+        let cell = 8usize;
+        scores
+            .iter()
+            .filter(|s| s.raw > self.threshold_raw)
+            .map(move |s| Detection {
+                bbox: BoundingBox::new(
+                    (s.cx * cell) as i64,
+                    (s.cy * cell) as i64,
+                    (wc * cell) as u64,
+                    (hc * cell) as u64,
+                )
+                .scaled(scale),
+                score: QuantizedModel::score_to_f64(s.raw),
+                scale,
+            })
     }
 
     /// A textual stage graph of the implemented architecture (the harness
@@ -878,10 +607,32 @@ impl HogAccelerator {
     }
 }
 
+/// The report of a frame the fleet could not serve: every shard is
+/// quarantined, so the frame is flagged and nothing unattested is emitted.
+fn exhausted(
+    fleet: &mut ShardFleet,
+    mut fi: FrameIntegrity,
+    watchdog: Option<PipelineWatchdog>,
+    extractor_cycles: u64,
+) -> (AcceleratorReport, FrameIntegrity) {
+    fleet.record_exhausted();
+    fi.fleet_exhausted = Some(fleet.shard_count() as u64);
+    fi.watchdog_events = watchdog
+        .map(PipelineWatchdog::into_events)
+        .unwrap_or_default();
+    (
+        AcceleratorReport {
+            detections: Vec::new(),
+            extractor_cycles,
+            scale_reports: Vec::new(),
+        },
+        fi,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ecc::EccMode;
     use crate::shard::ShardConfig;
     use rtped_detect::detector::score_window;
 
@@ -1028,15 +779,20 @@ mod tests {
     #[test]
     fn watchdog_flags_overruns_and_stalls() {
         let mut wd = PipelineWatchdog::new();
-        let budget = PipelineWatchdog::strip_budget(32);
-        wd.observe_strip(0, 32, 25, 25, budget);
-        assert!(wd.is_clean());
-        wd.observe_strip(1, 32, 25, 25, budget + 7);
-        wd.observe_strip(2, 32, 24, 25, budget);
-        assert_eq!(wd.strips(), 3);
+        let budget = ShardGeometry::paper().strip_cycles(32);
+        assert_eq!(budget, 288 + 31 * 36);
+        let obs = |strip, windows, observed_cycles| StripObservation {
+            strip,
+            windows,
+            observed_cycles,
+        };
+        wd.observe_strip_budget(&obs(0, 25, budget), budget, 25);
+        assert!(wd.clone().into_events().is_empty());
+        wd.observe_strip_budget(&obs(1, 25, budget + 7), budget, 25);
+        wd.observe_strip_budget(&obs(2, 24, budget), budget, 25);
         assert_eq!(
-            wd.events(),
-            &[
+            wd.into_events(),
+            [
                 WatchdogEvent {
                     strip: 1,
                     kind: WatchdogKind::Overrun {
@@ -1063,7 +819,7 @@ mod tests {
         let plain = acc.process(&frame);
         for config in [IntegrityConfig::full(), IntegrityConfig::off()] {
             let (report, fi) =
-                acc.process_with_integrity(&frame, &model, &config, &SoftErrorDose::none());
+                acc.process_with_integrity(&frame, &model, &config, &SoftErrorDose::none(), None);
             assert_eq!(report, plain, "mode {:?}", config.ecc);
             assert_eq!(fi.ecc.detected_total(), 0);
             assert!(fi.watchdog_events.is_empty());
@@ -1085,7 +841,7 @@ mod tests {
             ..SoftErrorDose::none()
         };
         let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose);
+            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
         assert_eq!(fi.injected_stall_cycles, 500);
         assert_eq!(fi.watchdog_events.len(), 1);
         assert!(matches!(
@@ -1111,7 +867,7 @@ mod tests {
             ..SoftErrorDose::none()
         };
         let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose);
+            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
         assert!(fi.ecc.corrected_total() >= 4);
         assert_eq!(fi.ecc.uncorrectable_total(), 0);
         assert_eq!(report, plain);
@@ -1125,16 +881,16 @@ mod tests {
         let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
         let integrity = IntegrityConfig::full();
         let (single, _) =
-            acc.process_with_integrity(&frame, &model, &integrity, &SoftErrorDose::none());
+            acc.process_with_integrity(&frame, &model, &integrity, &SoftErrorDose::none(), None);
         for shards in [1usize, 2, 4, 8] {
             let config = ShardConfig::new(shards, ShardGeometry::paper()).unwrap();
             let mut fleet = ShardFleet::new(&config);
-            let (report, fi) = acc.process_with_integrity_sharded(
+            let (report, fi) = acc.process_with_integrity(
                 &frame,
                 &model,
                 &integrity,
                 &SoftErrorDose::none(),
-                &mut fleet,
+                Some(&mut fleet),
             );
             assert_eq!(report.detections, single.detections, "{shards} shards");
             assert!(fi.shard_quarantines.is_empty());
@@ -1155,7 +911,7 @@ mod tests {
         let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
         let integrity = IntegrityConfig::full();
         let (clean, _) =
-            acc.process_with_integrity(&frame, &model, &integrity, &SoftErrorDose::none());
+            acc.process_with_integrity(&frame, &model, &integrity, &SoftErrorDose::none(), None);
         let dose = SoftErrorDose {
             seed: 9,
             mem_double_flips: 1,
@@ -1164,7 +920,7 @@ mod tests {
         let config = ShardConfig::new(4, ShardGeometry::paper()).unwrap();
         let mut fleet = ShardFleet::new(&config);
         let (report, fi) =
-            acc.process_with_integrity_sharded(&frame, &model, &integrity, &dose, &mut fleet);
+            acc.process_with_integrity(&frame, &model, &integrity, &dose, Some(&mut fleet));
         assert!(fi.ecc.uncorrectable_total() > 0, "double flip went unseen");
         assert_eq!(fi.shard_quarantines.len(), 1);
         assert!(fi.shard_failovers >= 1);
@@ -1183,18 +939,71 @@ mod tests {
         let mut fleet = ShardFleet::new(&config);
         fleet.quarantine(0);
         fleet.quarantine(1);
-        let (report, fi) = acc.process_with_integrity_sharded(
+        let (report, fi) = acc.process_with_integrity(
             &frame,
             &model,
             &IntegrityConfig::full(),
             &SoftErrorDose::none(),
-            &mut fleet,
+            Some(&mut fleet),
         );
         assert!(report.detections.is_empty());
         assert!(report.scale_reports.is_empty());
         assert_eq!(fi.fleet_exhausted, Some(2));
         assert_eq!(fi.faults()[0].label(), "fleet_exhausted");
         assert_eq!(fleet.exhausted_frames(), 1);
+    }
+
+    #[test]
+    fn containment_holds_the_schedule_even_with_the_watchdog_off() {
+        let frame = textured(96, 192);
+        let model = pseudo_model(0.1);
+        let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
+        let clean = acc.process(&frame);
+        let integrity = IntegrityConfig {
+            watchdog: false,
+            ..IntegrityConfig::full()
+        };
+        let dose = SoftErrorDose {
+            seed: 4,
+            stall_cycles: 300,
+            ..SoftErrorDose::none()
+        };
+        let config = ShardConfig::new(2, ShardGeometry::paper()).unwrap();
+        let mut fleet = ShardFleet::new(&config);
+        let (report, fi) =
+            acc.process_with_integrity(&frame, &model, &integrity, &dose, Some(&mut fleet));
+        // No watchdog recorded the overrun, yet the stalled band's shard
+        // was quarantined and its band re-run clean.
+        assert!(fi.watchdog_events.is_empty());
+        assert_eq!(fi.injected_stall_cycles, 300);
+        assert_eq!(fi.shard_quarantines.len(), 1);
+        assert_eq!(report.detections, clean.detections);
+    }
+
+    #[test]
+    fn unsharded_path_serves_a_frame_a_one_shard_fleet_refuses() {
+        let frame = textured(96, 160);
+        let model = pseudo_model(0.1);
+        let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
+        let dose = SoftErrorDose {
+            seed: 3,
+            mem_double_flips: 1,
+            ..SoftErrorDose::none()
+        };
+        let integrity = IntegrityConfig::full();
+        // One engine: the fault is reported and the frame still served.
+        let (report, fi) = acc.process_with_integrity(&frame, &model, &integrity, &dose, None);
+        assert!(fi.ecc.uncorrectable_total() > 0);
+        assert_eq!(fi.fleet_exhausted, None);
+        assert!(fi.shard_quarantines.is_empty());
+        assert_eq!(report.scale_reports.len(), 2);
+        // One shard: it quarantines itself and the fleet is exhausted.
+        let config = ShardConfig::new(1, ShardGeometry::paper()).unwrap();
+        let mut fleet = ShardFleet::new(&config);
+        let (report, fi) =
+            acc.process_with_integrity(&frame, &model, &integrity, &dose, Some(&mut fleet));
+        assert_eq!(fi.fleet_exhausted, Some(1));
+        assert!(report.scale_reports.is_empty());
     }
 
     #[test]
@@ -1243,7 +1052,7 @@ mod tests {
             mem_flips: 300,
             ..SoftErrorDose::none()
         };
-        let (_, fi) = acc.process_with_integrity(&frame, &model, &integrity, &dose);
+        let (_, fi) = acc.process_with_integrity(&frame, &model, &integrity, &dose, None);
         assert_eq!(fi.ecc.detected_total(), 0, "ECC off must observe nothing");
         let ls = fi.lockstep.as_ref().unwrap();
         assert!(

@@ -12,7 +12,9 @@
 //! - the classifier trails the extractor row by row (the 18-row ring of
 //!   `NHOGMem` keeps it at most two cell rows behind), so detections for
 //!   the last window strip are ready one strip-time after the last pixel:
-//!   `latency = pixels + fill + (cells_x - 1) × 36` cycles;
+//!   `latency = pixels + fill + (cells_x - 1) × column` cycles, with the
+//!   fill and column times of the accelerator's geometry (288 and 36 at
+//!   the paper point);
 //! - frames arriving faster than the initiation interval are dropped
 //!   (a real camera cannot be back-pressured).
 
@@ -22,7 +24,6 @@ use rtped_detect::detector::Detection;
 use rtped_image::GrayImage;
 
 use crate::pipeline::HogAccelerator;
-use crate::svm_engine::{SvmEngine, COLUMN_CYCLES, FILL_CYCLES};
 use crate::timing::{pixel_stream_cycles, ClockDomain};
 
 /// Timing of one frame through the pipelined accelerator.
@@ -156,10 +157,13 @@ impl StreamSimulator {
     }
 
     /// The tail between the last pixel and the last detection: one window
-    /// strip through the classifier.
+    /// strip through the classifier, at the accelerator's geometry.
     #[must_use]
-    pub fn classifier_tail_cycles(cells_x: usize) -> u64 {
-        FILL_CYCLES + (cells_x as u64).saturating_sub(1) * COLUMN_CYCLES
+    pub fn classifier_tail_cycles(&self, cells_x: usize) -> u64 {
+        self.accelerator
+            .config()
+            .geometry
+            .strip_cycles(cells_x.max(1))
     }
 
     /// Processes `frames` arriving every `camera_period_cycles`.
@@ -184,9 +188,10 @@ impl StreamSimulator {
         let stream_cycles = pixel_stream_cycles(dims.0, dims.1);
         let cells_x = dims.0 / 8;
         let cells_y = dims.1 / 8;
-        let classifier_cycles = SvmEngine::new().cycles_per_frame(cells_x.max(1), cells_y.max(1));
+        let geometry = self.accelerator.config().geometry;
+        let classifier_cycles = geometry.frame_cycles(cells_x.max(1), cells_y.max(1));
         let initiation_interval = stream_cycles.max(classifier_cycles);
-        let tail = Self::classifier_tail_cycles(cells_x);
+        let tail = self.classifier_tail_cycles(cells_x);
 
         let mut out = Vec::new();
         let mut dropped = Vec::new();
@@ -228,6 +233,7 @@ impl StreamSimulator {
 mod tests {
     use super::*;
     use crate::pipeline::AcceleratorConfig;
+    use crate::shard::ShardGeometry;
     use rtped_svm::LinearSvm;
 
     fn frames(n: usize, w: usize, h: usize) -> Vec<GrayImage> {
@@ -268,7 +274,8 @@ mod tests {
         let fs = frames(1, 160, 128);
         let report = sim.process_stream(&fs, 1_000_000);
         let timing = &report.frames[0].0;
-        let expected_tail = StreamSimulator::classifier_tail_cycles(20);
+        let expected_tail = sim.classifier_tail_cycles(20);
+        assert_eq!(expected_tail, 288 + 19 * 36);
         assert_eq!(
             timing.latency_cycles(),
             pixel_stream_cycles(160, 128) + expected_tail
@@ -280,8 +287,7 @@ mod tests {
         // §1: the driver needs ~1.5 s; detection must be a negligible
         // slice of that. HDTV: 16.59 ms stream + 71 us tail at 125 MHz.
         let clock = ClockDomain::MHZ_125;
-        let latency =
-            pixel_stream_cycles(1920, 1080) + StreamSimulator::classifier_tail_cycles(240);
+        let latency = pixel_stream_cycles(1920, 1080) + simulator().classifier_tail_cycles(240);
         let seconds = clock.seconds(latency);
         assert!(seconds < 0.017, "latency {seconds} s");
         assert!(seconds / 1.5 < 0.012, "latency should be ~1% of PRT");
@@ -293,9 +299,36 @@ mod tests {
         let fs = frames(1, 160, 128);
         let report = sim.process_stream(&fs, 1_000_000);
         let stream = pixel_stream_cycles(160, 128);
-        let classifier = SvmEngine::new().cycles_per_frame(20, 16);
+        let classifier = ShardGeometry::paper().frame_cycles(20, 16);
         assert_eq!(report.initiation_interval, stream.max(classifier));
         assert!(report.sustained_fps(ClockDomain::MHZ_125) > 0.0);
+    }
+
+    fn simulator_at(geometry: ShardGeometry) -> StreamSimulator {
+        let model = LinearSvm::new(vec![0.0; 4608], -1.0);
+        let config = AcceleratorConfig {
+            geometry,
+            ..AcceleratorConfig::default()
+        };
+        StreamSimulator::new(HogAccelerator::new(&model, config))
+    }
+
+    #[test]
+    fn tail_and_interval_follow_the_accelerator_geometry() {
+        let fs = frames(1, 160, 128);
+        let stream = pixel_stream_cycles(160, 128);
+        // 32 banks x 16 MACBARs: an 18-cycle column, a 144-cycle fill.
+        let wide = simulator_at(ShardGeometry::new(32, 16, 36).unwrap());
+        assert_eq!(wide.classifier_tail_cycles(20), 144 + 19 * 18);
+        let report = wide.process_stream(&fs, 1_000_000);
+        assert_eq!(report.frames[0].0.latency_cycles(), stream + 144 + 19 * 18);
+        assert_eq!(report.initiation_interval, stream.max(16 * (144 + 19 * 18)));
+        // 2 MACBARs: a 144-cycle column, slow enough that the classifier,
+        // not the pixel stream, sets the interval.
+        let narrow = simulator_at(ShardGeometry::new(16, 2, 18).unwrap());
+        let report = narrow.process_stream(&fs, 1_000_000);
+        assert_eq!(report.initiation_interval, 16 * (1152 + 19 * 144));
+        assert!(report.initiation_interval > stream);
     }
 
     #[test]

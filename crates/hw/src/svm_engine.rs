@@ -11,22 +11,22 @@
 //! cycles = 135 rows × (288 + 239 × 36) = 1,200,420
 //! ```
 //!
-//! — the paper's exact per-frame count, under 10 ms at 125 MHz.
+//! — the paper's exact per-frame count, under 10 ms at 125 MHz. The
+//! schedule itself lives in [`ShardGeometry`], which derives these
+//! numbers at the paper's design point.
+
+use std::ops::Range;
 
 use rtped_core::{Rng, SeedRng};
 use rtped_svm::LinearSvm;
 
 use crate::ecc::{EccMode, EccStats};
 use crate::integrity::SoftErrorDose;
-use crate::macbar::{CheckedMacBar, MacBar, LANES};
+use crate::macbar::{CheckedMacBar, LANES};
 use crate::nhog_mem::NhogMem;
 use crate::norm_unit::{HwFeatureMap, CELL_FEATURES};
 use crate::shard::ShardGeometry;
 
-/// Buffer-fill cycles per cell row (8 columns × 36).
-pub const FILL_CYCLES: u64 = 288;
-/// Cycles per additional window column.
-pub const COLUMN_CYCLES: u64 = 36;
 /// Number of pipelined MACBAR units (one per window cell column).
 pub const MACBARS: usize = 8;
 /// Window size in cells (width, height).
@@ -97,6 +97,13 @@ impl QuantizedModel {
     }
 }
 
+/// Window strips of `map`: one per cell row a 16-cell-tall window can
+/// start at (0 when the map is shorter than a window).
+#[must_use]
+pub fn window_strips(map: &HwFeatureMap) -> usize {
+    (map.cells().1 + 1).saturating_sub(WINDOW_CELLS.1)
+}
+
 /// One classified window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowScore {
@@ -120,11 +127,12 @@ pub struct StripObservation {
     pub observed_cycles: u64,
 }
 
-/// What [`SvmEngine::classify_map_integrity`] observed beyond the scores.
+/// What one [`SvmEngine::classify_band`] run produced: the scores plus
+/// everything its integrity surface observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineIntegrity {
-    /// Raw window scores in raster order (identical to
-    /// [`SvmEngine::classify_map`] when nothing was injected).
+    /// Raw window scores in raster order (independent of the protection
+    /// settings when nothing was injected).
     pub scores: Vec<WindowScore>,
     /// SECDED counters of the engine's `NHOGMem`.
     pub ecc: EccStats,
@@ -188,86 +196,6 @@ impl SvmEngine {
         Self { geometry }
     }
 
-    /// The geometry in effect.
-    #[must_use]
-    pub fn geometry(&self) -> ShardGeometry {
-        self.geometry
-    }
-
-    /// The per-frame cycle count for a `cells_x * cells_y` cell grid:
-    /// every cell row pays the fill plus one column time per remaining
-    /// column (288 + 36/column at the paper geometry).
-    ///
-    /// For HDTV (240×135) at the paper geometry this is exactly
-    /// 1,200,420.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    #[must_use]
-    pub fn cycles_per_frame(&self, cells_x: usize, cells_y: usize) -> u64 {
-        assert!(cells_x > 0 && cells_y > 0, "empty cell grid");
-        self.geometry.frame_cycles(cells_x, cells_y)
-    }
-
-    /// Classifies every window position of `map`, streaming the feature
-    /// rows through an 18-row [`NhogMem`] and the 8 MACBAR pipeline.
-    ///
-    /// Returns the raw score of every window in raster order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model.dim() != 4608` (the 8×16-cell window).
-    #[must_use]
-    pub fn classify_map(&self, map: &HwFeatureMap, model: &QuantizedModel) -> Vec<WindowScore> {
-        let (wc, hc) = WINDOW_CELLS;
-        assert_eq!(
-            model.dim(),
-            wc * hc * CELL_FEATURES,
-            "model does not match the 8x16-cell window"
-        );
-        let (cells_x, cells_y) = map.cells();
-        if cells_x < wc || cells_y < hc {
-            return Vec::new();
-        }
-
-        let col_weights = Self::column_weights(model);
-
-        let mut mem = NhogMem::with_capacity(cells_x, EccMode::Off, self.geometry.buffered_rows());
-        let mut scores = Vec::new();
-        let mut bars: Vec<MacBar> = (0..MACBARS).map(|_| MacBar::new()).collect();
-
-        for strip in 0..=cells_y - hc {
-            // Producer keeps the ring 2 rows ahead, as the schedule allows.
-            let through = (strip + hc + 1).min(cells_y - 1);
-            mem.load_rows_through(map, through);
-
-            // Read each cell column of the strip once (the pipeline reuses
-            // a column for the 8 successive windows it participates in).
-            let columns: Vec<Vec<i32>> = (0..cells_x)
-                .map(|cx| mem.read_window_column(cx, strip, hc))
-                .collect();
-
-            for cx in 0..=cells_x - wc {
-                let mut raw = model.bias();
-                for (j, bar) in bars.iter_mut().enumerate() {
-                    bar.clear();
-                    // Each MACBAR's 16 lanes each own one cell of the
-                    // column and walk its 36 features in 36 cycles; the
-                    // per-lane stride below is that layout.
-                    bar.process_column(
-                        &columns[cx + j],
-                        &col_weights[j],
-                        CELL_FEATURES * hc / LANES,
-                    );
-                    raw += bar.reduce();
-                }
-                scores.push(WindowScore { cx, cy: strip, raw });
-            }
-        }
-        scores
-    }
-
     /// Per-window-column weight slices: column j of the window covers
     /// cells (j, 0..16); its weights are the model entries of those
     /// cells. Feature order inside a column matches
@@ -286,66 +214,40 @@ impl SvmEngine {
             .collect()
     }
 
-    /// [`SvmEngine::classify_map`] on the integrity-instrumented datapath:
-    /// the `NHOGMem` runs under `ecc`, every MACBAR is duplicated, and a
-    /// deterministic [`SoftErrorDose`] is injected along the way.
+    /// Classifies the window strips `strips` of `map` — the engine's one
+    /// entry point. The feature rows stream through a private `NHOGMem`
+    /// ring under `ecc` (starting at the band's first row) and the MACBAR
+    /// pipeline, duplicated when `checked_macbar` is set, while a
+    /// deterministic [`SoftErrorDose`] is injected along the way. Scores
+    /// come back in raster order with absolute strip coordinates, so
+    /// concatenating band results in band order reproduces the whole-map
+    /// scan (`0..` the map's strip count) bit-identically.
     ///
-    /// With an empty dose the scores are **bit-identical** to
-    /// [`SvmEngine::classify_map`] under either ECC mode — the protection
-    /// machinery never perturbs a clean datapath.
+    /// With an empty dose the scores are **bit-identical** under every
+    /// protection setting — the protection machinery never perturbs a
+    /// clean datapath.
     ///
     /// Injection placement derives entirely from `dose.seed`, in a fixed
     /// draw order (memory singles, memory doubles, accumulators, stall),
-    /// so a dose strikes the same bits on every run and thread count.
-    /// Memory upsets land in words of the row strip being processed —
-    /// words the schedule is guaranteed to read — so a correctable upset
-    /// is always exercised and a double upset can never slip out of the
-    /// ring unobserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model.dim() != 4608` (the 8×16-cell window).
-    #[must_use]
-    pub fn classify_map_integrity(
-        &self,
-        map: &HwFeatureMap,
-        model: &QuantizedModel,
-        ecc: EccMode,
-        checked_macbar: bool,
-        dose: &SoftErrorDose,
-    ) -> EngineIntegrity {
-        let (_, hc) = WINDOW_CELLS;
-        let (_, cells_y) = map.cells();
-        let strips = (cells_y + 1).saturating_sub(hc);
-        self.classify_band_integrity(map, model, ecc, checked_macbar, dose, 0, strips)
-    }
-
-    /// [`SvmEngine::classify_map_integrity`] restricted to the window
-    /// strips `strip_lo..strip_hi` — the unit of work one shard executes
-    /// on its band. The shard's private `NHOGMem` starts filling at the
-    /// band's first halo row, the dose's placement draws land inside the
-    /// band, and the returned scores carry absolute strip coordinates,
-    /// so concatenating band results in band order reproduces the
-    /// whole-map raster scan bit-identically.
-    ///
-    /// With `strip_lo = 0` and `strip_hi` = the full strip count this is
-    /// exactly the single-instance run, draw for draw.
+    /// so a dose strikes the same bits on every run and thread count, and
+    /// every draw lands inside the band. Memory upsets land in words of
+    /// the row strip being processed — words the schedule is guaranteed
+    /// to read — so a correctable upset is always exercised and a double
+    /// upset can never slip out of the ring unobserved.
     ///
     /// # Panics
     ///
     /// Panics if `model.dim() != 4608` (the 8×16-cell window) or the
     /// band exceeds the map's strip range.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn classify_band_integrity(
+    pub fn classify_band(
         &self,
         map: &HwFeatureMap,
         model: &QuantizedModel,
         ecc: EccMode,
         checked_macbar: bool,
         dose: &SoftErrorDose,
-        strip_lo: usize,
-        strip_hi: usize,
+        strips: Range<usize>,
     ) -> EngineIntegrity {
         let (wc, hc) = WINDOW_CELLS;
         assert_eq!(
@@ -354,6 +256,7 @@ impl SvmEngine {
             "model does not match the 8x16-cell window"
         );
         let (cells_x, cells_y) = map.cells();
+        let (strip_lo, strip_hi) = (strips.start, strips.end);
         let mut out = EngineIntegrity {
             scores: Vec::new(),
             ecc: EccStats::default(),
@@ -416,11 +319,14 @@ impl SvmEngine {
         let col_weights = Self::column_weights(model);
         let mut mem = NhogMem::with_capacity(cells_x, ecc, self.geometry.buffered_rows());
         mem.seek_row(strip_lo);
-        let mut bars: Vec<CheckedMacBar> = (0..MACBARS).map(|_| CheckedMacBar::new()).collect();
+        let mut bars: Vec<CheckedMacBar> = (0..MACBARS)
+            .map(|_| CheckedMacBar::new(checked_macbar))
+            .collect();
         let row_words = cells_x * CELL_FEATURES;
         let word_bits = mem.word_bits();
 
         for strip in strip_lo..strip_hi {
+            // Producer keeps the ring 2 rows ahead, as the schedule allows.
             let through = (strip + hc + 1).min(cells_y - 1);
             mem.load_rows_through(map, through);
 
@@ -445,6 +351,8 @@ impl SvmEngine {
                 }
             }
 
+            // Read each cell column of the strip once (the pipeline reuses
+            // a column for the 8 successive windows it participates in).
             let columns: Vec<Vec<i32>> = (0..cells_x)
                 .map(|cx| mem.read_window_column(cx, strip, hc))
                 .collect();
@@ -454,6 +362,9 @@ impl SvmEngine {
                 let mut diverged = false;
                 for (j, bar) in bars.iter_mut().enumerate() {
                     bar.clear();
+                    // Each MACBAR's 16 lanes each own one cell of the
+                    // column and walk its 36 features in 36 cycles; the
+                    // per-lane stride below is that layout.
                     bar.process_column(
                         &columns[cx + j],
                         &col_weights[j],
@@ -468,7 +379,7 @@ impl SvmEngine {
                             out.injected_acc_flips += 1;
                         }
                     }
-                    if checked_macbar && bar.verify().is_err() {
+                    if bar.verify().is_err() {
                         diverged = true;
                     }
                     raw += bar.reduce();
@@ -502,6 +413,22 @@ mod tests {
     use super::*;
     use rtped_hog::params::HogParams;
 
+    /// Classifies every strip of `map` at the paper geometry.
+    fn classify(
+        map: &HwFeatureMap,
+        q: &QuantizedModel,
+        ecc: EccMode,
+        checked_macbar: bool,
+        dose: &SoftErrorDose,
+    ) -> EngineIntegrity {
+        SvmEngine::new().classify_band(map, q, ecc, checked_macbar, dose, 0..window_strips(map))
+    }
+
+    /// The unprotected, undosed scores of every window of `map`.
+    fn plain(map: &HwFeatureMap, q: &QuantizedModel) -> Vec<WindowScore> {
+        classify(map, q, EccMode::Off, false, &SoftErrorDose::none()).scores
+    }
+
     fn ramp_map(cx: usize, cy: usize) -> HwFeatureMap {
         let mut data = vec![0i32; cx * cy * CELL_FEATURES];
         for (i, v) in data.iter_mut().enumerate() {
@@ -512,15 +439,13 @@ mod tests {
 
     #[test]
     fn hdtv_frame_matches_paper_cycle_count() {
-        let engine = SvmEngine::new();
         // 1920x1080 -> 240x135 cells.
-        assert_eq!(engine.cycles_per_frame(240, 135), 1_200_420);
+        assert_eq!(ShardGeometry::paper().frame_cycles(240, 135), 1_200_420);
     }
 
     #[test]
     fn cycle_count_is_under_10ms_at_125mhz() {
-        let engine = SvmEngine::new();
-        let cycles = engine.cycles_per_frame(240, 135);
+        let cycles = ShardGeometry::paper().frame_cycles(240, 135);
         let ms = crate::timing::ClockDomain::MHZ_125.millis(cycles);
         assert!(ms < 10.0, "{ms} ms");
     }
@@ -560,8 +485,7 @@ mod tests {
             .collect();
         let model = LinearSvm::new(weights, 0.375);
         let q = QuantizedModel::from_svm(&model);
-        let engine = SvmEngine::new();
-        let scores = engine.classify_map(&map, &q);
+        let scores = plain(&map, &q);
         // Window grid: (12-8+1) x (20-16+1) = 5 x 5.
         assert_eq!(scores.len(), 25);
         let float_map = map.to_float();
@@ -583,7 +507,7 @@ mod tests {
         let map = ramp_map(10, 17);
         let model = LinearSvm::new(vec![0.0; 4608], 1.0);
         let q = QuantizedModel::from_svm(&model);
-        let scores = SvmEngine::new().classify_map(&map, &q);
+        let scores = plain(&map, &q);
         let coords: Vec<(usize, usize)> = scores.iter().map(|s| (s.cx, s.cy)).collect();
         assert_eq!(coords, vec![(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]);
         // Zero weights: every score is exactly the bias.
@@ -597,7 +521,7 @@ mod tests {
         let map = ramp_map(7, 16);
         let model = LinearSvm::new(vec![0.0; 4608], 0.0);
         let q = QuantizedModel::from_svm(&model);
-        assert!(SvmEngine::new().classify_map(&map, &q).is_empty());
+        assert!(plain(&map, &q).is_empty());
     }
 
     #[test]
@@ -606,12 +530,13 @@ mod tests {
         let map = ramp_map(8, 16);
         let model = LinearSvm::new(vec![0.0; 100], 0.0);
         let q = QuantizedModel::from_svm(&model);
-        let _ = SvmEngine::new().classify_map(&map, &q);
+        let _ = plain(&map, &q);
     }
 
     #[test]
     fn fill_cycles_are_eight_columns() {
-        assert_eq!(FILL_CYCLES, MACBARS as u64 * COLUMN_CYCLES);
+        let paper = ShardGeometry::paper();
+        assert_eq!(paper.fill_cycles(), MACBARS as u64 * paper.column_cycles());
     }
 
     fn quantized() -> QuantizedModel {
@@ -625,17 +550,16 @@ mod tests {
     fn integrity_path_with_empty_dose_is_bit_identical() {
         let map = ramp_map(12, 20);
         let q = quantized();
-        let engine = SvmEngine::new();
-        let clean = engine.classify_map(&map, &q);
+        let clean = plain(&map, &q);
         for ecc in [EccMode::Off, EccMode::Secded] {
-            let result = engine.classify_map_integrity(&map, &q, ecc, true, &SoftErrorDose::none());
+            let result = classify(&map, &q, ecc, true, &SoftErrorDose::none());
             assert_eq!(result.scores, clean, "mode {ecc:?}");
             assert_eq!(result.ecc.detected_total(), 0);
             assert_eq!(result.macbar_mismatches, 0);
             assert_eq!(result.strips.len(), 5);
             for obs in &result.strips {
                 assert_eq!(obs.windows, 5);
-                assert_eq!(obs.observed_cycles, FILL_CYCLES + 11 * COLUMN_CYCLES);
+                assert_eq!(obs.observed_cycles, 288 + 11 * 36);
             }
         }
     }
@@ -644,15 +568,14 @@ mod tests {
     fn single_mem_flips_are_corrected_and_scores_match_clean() {
         let map = ramp_map(12, 20);
         let q = quantized();
-        let engine = SvmEngine::new();
-        let clean = engine.classify_map(&map, &q);
+        let clean = plain(&map, &q);
         for seed in 0..20 {
             let dose = SoftErrorDose {
                 seed,
                 mem_flips: 2,
                 ..SoftErrorDose::none()
             };
-            let result = engine.classify_map_integrity(&map, &q, EccMode::Secded, true, &dose);
+            let result = classify(&map, &q, EccMode::Secded, true, &dose);
             assert_eq!(result.injected_mem_flips, 2, "seed {seed}");
             assert!(result.ecc.corrected_total() >= 2, "seed {seed}");
             assert_eq!(result.ecc.uncorrectable_total(), 0, "seed {seed}");
@@ -667,14 +590,13 @@ mod tests {
     fn double_mem_flips_are_always_detected() {
         let map = ramp_map(12, 20);
         let q = quantized();
-        let engine = SvmEngine::new();
         for seed in 0..20 {
             let dose = SoftErrorDose {
                 seed,
                 mem_double_flips: 1,
                 ..SoftErrorDose::none()
             };
-            let result = engine.classify_map_integrity(&map, &q, EccMode::Secded, true, &dose);
+            let result = classify(&map, &q, EccMode::Secded, true, &dose);
             assert_eq!(result.injected_mem_double_flips, 1, "seed {seed}");
             assert!(
                 result.ecc.uncorrectable_total() >= 1,
@@ -687,20 +609,19 @@ mod tests {
     fn acc_flip_is_flagged_when_checked_and_silent_otherwise() {
         let map = ramp_map(12, 20);
         let q = quantized();
-        let engine = SvmEngine::new();
-        let clean = engine.classify_map(&map, &q);
+        let clean = plain(&map, &q);
         let dose = SoftErrorDose {
             seed: 7,
             acc_flips: 1,
             ..SoftErrorDose::none()
         };
-        let checked = engine.classify_map_integrity(&map, &q, EccMode::Off, true, &dose);
+        let checked = classify(&map, &q, EccMode::Off, true, &dose);
         assert_eq!(checked.injected_acc_flips, 1);
         assert_eq!(checked.macbar_mismatches, 1);
         assert_eq!(checked.flagged_windows.len(), 1);
         // The same dose without the checker corrupts the same window —
         // silently. That asymmetry is the whole point of the checker.
-        let unchecked = engine.classify_map_integrity(&map, &q, EccMode::Off, false, &dose);
+        let unchecked = classify(&map, &q, EccMode::Off, false, &dose);
         assert_eq!(unchecked.macbar_mismatches, 0);
         assert_eq!(unchecked.scores, checked.scores);
         assert_ne!(unchecked.scores, clean);
@@ -715,9 +636,9 @@ mod tests {
             stall_cycles: 100,
             ..SoftErrorDose::none()
         };
-        let result = SvmEngine::new().classify_map_integrity(&map, &q, EccMode::Off, false, &dose);
+        let result = classify(&map, &q, EccMode::Off, false, &dose);
         assert_eq!(result.injected_stall_cycles, 100);
-        let budget = FILL_CYCLES + 11 * COLUMN_CYCLES;
+        let budget = 288 + 11 * 36;
         let over: Vec<&StripObservation> = result
             .strips
             .iter()
@@ -731,7 +652,6 @@ mod tests {
     fn injection_schedule_is_pure_in_the_dose_seed() {
         let map = ramp_map(12, 20);
         let q = quantized();
-        let engine = SvmEngine::new();
         let dose = SoftErrorDose {
             seed: 11,
             mem_flips: 3,
@@ -739,8 +659,8 @@ mod tests {
             acc_flips: 2,
             stall_cycles: 50,
         };
-        let a = engine.classify_map_integrity(&map, &q, EccMode::Secded, true, &dose);
-        let b = engine.classify_map_integrity(&map, &q, EccMode::Secded, true, &dose);
+        let a = classify(&map, &q, EccMode::Secded, true, &dose);
+        let b = classify(&map, &q, EccMode::Secded, true, &dose);
         assert_eq!(a, b);
     }
 
@@ -753,8 +673,7 @@ mod tests {
             mem_flips: 5,
             ..SoftErrorDose::none()
         };
-        let result =
-            SvmEngine::new().classify_map_integrity(&map, &q, EccMode::Secded, true, &dose);
+        let result = classify(&map, &q, EccMode::Secded, true, &dose);
         assert!(result.scores.is_empty());
         assert_eq!(result.injected_mem_flips, 0);
         assert!(result.strips.is_empty());

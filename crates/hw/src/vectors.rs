@@ -13,7 +13,7 @@ use rtped_image::GrayImage;
 
 use crate::norm_unit::{HwFeatureMap, CELL_FEATURES};
 use crate::pipeline::HogAccelerator;
-use crate::svm_engine::{QuantizedModel, SvmEngine, WindowScore};
+use crate::svm_engine::WindowScore;
 
 /// A complete stimulus/response vector set for one frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,19 +31,15 @@ pub struct TestVectors {
 
 impl TestVectors {
     /// Generates vectors by running `frame` through the accelerator's
-    /// extraction and classification stages.
+    /// extraction and classification stages, on its own quantized model.
     ///
     /// # Panics
     ///
     /// Panics if the frame is smaller than one window.
     #[must_use]
-    pub fn generate(
-        accelerator: &HogAccelerator,
-        model: &QuantizedModel,
-        frame: &GrayImage,
-    ) -> Self {
+    pub fn generate(accelerator: &HogAccelerator, frame: &GrayImage) -> Self {
         let map = accelerator.extract_features(frame);
-        let scores = SvmEngine::new().classify_map(&map, model);
+        let scores = accelerator.window_scores(&map);
         let (cx, cy) = map.cells();
         Self {
             frame_size: frame.dimensions(),
@@ -156,7 +152,10 @@ impl TestVectors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecc::EccMode;
+    use crate::integrity::SoftErrorDose;
     use crate::pipeline::AcceleratorConfig;
+    use crate::svm_engine::{window_strips, QuantizedModel, SvmEngine};
     use rtped_svm::LinearSvm;
 
     fn setup() -> (HogAccelerator, QuantizedModel, GrayImage) {
@@ -172,8 +171,8 @@ mod tests {
 
     #[test]
     fn vectors_roundtrip_through_hex() {
-        let (acc, q, frame) = setup();
-        let vectors = TestVectors::generate(&acc, &q, &frame);
+        let (acc, _, frame) = setup();
+        let vectors = TestVectors::generate(&acc, &frame);
 
         let features_text = vectors.features_hex();
         let map = TestVectors::parse_features(&features_text, vectors.cells).unwrap();
@@ -234,9 +233,11 @@ mod tests {
         // The serialized scores must equal a fresh engine run on the
         // parsed feature stream — the property an RTL testbench relies on.
         let (acc, q, frame) = setup();
-        let vectors = TestVectors::generate(&acc, &q, &frame);
+        let vectors = TestVectors::generate(&acc, &frame);
         let map = TestVectors::parse_features(&vectors.features_hex(), vectors.cells).unwrap();
-        let scores = SvmEngine::new().classify_map(&map, &q);
-        assert_eq!(scores, vectors.scores);
+        let none = SoftErrorDose::none();
+        let strips = 0..window_strips(&map);
+        let fresh = SvmEngine::new().classify_band(&map, &q, EccMode::Off, false, &none, strips);
+        assert_eq!(fresh.scores, vectors.scores);
     }
 }

@@ -7,14 +7,13 @@
 //! error statistics, per-window score errors, and decision flips, so
 //! regressions in the fixed-point stages are caught by one call.
 
-use rtped_detect::detector::score_window;
 use rtped_hog::feature_map::FeatureMap;
 use rtped_hog::params::HogParams;
 use rtped_image::GrayImage;
 use rtped_svm::LinearSvm;
 
+use crate::lockstep::score_pair;
 use crate::pipeline::HogAccelerator;
-use crate::svm_engine::{QuantizedModel, SvmEngine};
 
 /// Error statistics of one hardware-vs-float comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +46,9 @@ impl GoldenReport {
     }
 }
 
-/// Runs `frame` through both pipelines under `model` and diffs them.
+/// Runs `frame` through both pipelines and diffs them: the accelerator
+/// on its own quantized model and geometry, the float path under `model`
+/// (the float model the accelerator was quantized from).
 ///
 /// # Panics
 ///
@@ -62,30 +63,28 @@ pub fn compare_pipelines(
     let params = HogParams::pedestrian();
 
     // Feature planes.
-    let hw_map = accelerator.extract_features(frame).to_float();
+    let hw_map = accelerator.extract_features(frame);
     let float_map = FeatureMap::extract(frame, &params);
-    assert_eq!(hw_map.cells(), float_map.cells(), "cell grids disagree");
+    let hw_float = hw_map.to_float();
+    assert_eq!(hw_float.cells(), float_map.cells(), "cell grids disagree");
     let mut feature_mae = 0.0f64;
     let mut feature_max: f64 = 0.0;
-    for (&a, &b) in hw_map.as_raw().iter().zip(float_map.as_raw()) {
+    for (&a, &b) in hw_float.as_raw().iter().zip(float_map.as_raw()) {
         let err = f64::from((a - b).abs());
         feature_mae += err;
         feature_max = feature_max.max(err);
     }
-    feature_mae /= hw_map.as_raw().len() as f64;
+    feature_mae /= hw_float.as_raw().len() as f64;
 
-    // Window scores through the actual MACBAR engine vs the float path.
-    let engine = SvmEngine::new();
-    let q = QuantizedModel::from_svm(model);
-    let hw_feature_map = accelerator.extract_features(frame);
-    let scores = engine.classify_map(&hw_feature_map, &q);
+    // Window scores through the accelerator's own MACBAR engine vs the
+    // float path.
+    let scores = accelerator.window_scores(&hw_map);
     let mut score_mae = 0.0f64;
     let mut score_max: f64 = 0.0;
     let mut flips = 0usize;
     let mut worst_flip: f64 = 0.0;
     for s in &scores {
-        let hw_score = QuantizedModel::score_to_f64(s.raw);
-        let float_score = score_window(&float_map, s.cx, s.cy, &params, model);
+        let (hw_score, float_score) = score_pair(s, &float_map, &params, model);
         let err = (hw_score - float_score).abs();
         score_mae += err;
         score_max = score_max.max(err);

@@ -3,11 +3,15 @@
 //!
 //! [`IntegrityRuntime`] is the [`crate::Runtime`]'s sibling for the
 //! cycle-accurate hardware model, implementing the same object-safe
-//! [`Engine`] trait: each delivered frame goes through
-//! `rtped_hw::HogAccelerator::process_with_integrity` — SECDED-protected
-//! feature memory, duplicate-and-compare MACBARs, the float-golden
-//! lockstep channel, and the schedule watchdog — under a deterministic
-//! [`SoftErrorDose`] drawn from the [`FaultPlan`]'s `soft_errors` fault.
+//! [`Engine`] trait: each delivered frame goes through the accelerator's
+//! one frame entry point, `rtped_hw::HogAccelerator::process_with_integrity`
+//! — SECDED-protected feature memory, duplicate-and-compare MACBARs, the
+//! float-golden lockstep channel, and the schedule watchdog — under a
+//! deterministic [`SoftErrorDose`] drawn from the [`FaultPlan`]'s
+//! `soft_errors` fault. A runtime built
+//! [`with_sharding`](IntegrityRuntime::with_sharding) passes its
+//! [`ShardFleet`] to the same call, which bands the native map across
+//! the shards with quarantine and failover.
 //!
 //! Integrity faults (uncorrectable memory words, MACBAR divergence,
 //! lockstep mismatch, watchdog events) escalate the degradation
@@ -84,8 +88,8 @@ impl IntegrityRuntime {
     }
 
     /// Bands every frame across a fleet of shard instances with
-    /// quarantine and bit-identical failover
-    /// (`HogAccelerator::process_with_integrity_sharded`). The
+    /// quarantine and bit-identical failover (the fleet argument of
+    /// `HogAccelerator::process_with_integrity`). The
     /// accelerator is rebuilt at the fleet's per-shard geometry; resets
     /// the session.
     #[must_use]
@@ -174,21 +178,13 @@ impl Engine for IntegrityRuntime {
         }
         let dose = dose_from_faults(&faults, plan, index);
 
-        let (hw_report, frame_integrity) = match self.fleet.as_mut() {
-            Some(fleet) => self.accelerator.process_with_integrity_sharded(
-                &image,
-                &self.golden,
-                &self.integrity,
-                &dose,
-                fleet,
-            ),
-            None => self.accelerator.process_with_integrity(
-                &image,
-                &self.golden,
-                &self.integrity,
-                &dose,
-            ),
-        };
+        let (hw_report, frame_integrity) = self.accelerator.process_with_integrity(
+            &image,
+            &self.golden,
+            &self.integrity,
+            &dose,
+            self.fleet.as_mut(),
+        );
         let clock = self.accelerator.config().clock;
         let latency_ms = clock.millis(hw_report.frame_cycles()) + delay_ms;
         let integrity_faults = self.report.record_frame(&frame_integrity);

@@ -8,7 +8,6 @@
 //! ```
 
 use rtped::dataset::scene::SceneBuilder;
-use rtped::hw::svm_engine::QuantizedModel;
 use rtped::hw::vectors::TestVectors;
 use rtped::hw::verify::compare_pipelines;
 use rtped::hw::{AcceleratorConfig, HogAccelerator};
@@ -25,7 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The shipped pretrained model is the DUT's model memory contents.
     let model = load_model("models/pedestrian_synthetic.json")?;
-    let quantized = QuantizedModel::from_svm(&model);
     let accelerator = HogAccelerator::new(&model, AcceleratorConfig::default());
 
     let scene = SceneBuilder::new(320, 256)
@@ -34,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
 
     println!("generating vectors for a 320x256 frame ...");
-    let vectors = TestVectors::generate(&accelerator, &quantized, &scene.frame);
+    let vectors = TestVectors::generate(&accelerator, &scene.frame);
     let features_path = format!("{out_dir}/frame0_features.hex");
     let scores_path = format!("{out_dir}/frame0_scores.hex");
     std::fs::write(&features_path, vectors.features_hex())?;

@@ -95,8 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The headline claim, independent of content: HDTV classifier cycles.
-    let engine = rtped::hw::svm_engine::SvmEngine::new();
-    let hdtv = engine.cycles_per_frame(1920 / 8, 1080 / 8);
+    let hdtv = rtped::hw::ShardGeometry::paper().frame_cycles(1920 / 8, 1080 / 8);
     println!(
         "\nHDTV (1920x1080) classifier schedule: {} cycles = {:.3} ms < 10 ms; \
          pixel stream 16.59 ms -> 60 fps (paper §5)",

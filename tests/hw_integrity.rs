@@ -46,7 +46,7 @@ fn every_seeded_single_bit_campaign_is_corrected_bit_identically() {
             ..SoftErrorDose::none()
         };
         let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose);
+            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
         assert!(
             fi.ecc.corrected_total() >= 3,
             "seed {seed}: only {} corrected",
@@ -69,7 +69,8 @@ fn every_seeded_double_bit_campaign_is_detected_and_flagged() {
             mem_double_flips: 1,
             ..SoftErrorDose::none()
         };
-        let (_, fi) = acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose);
+        let (_, fi) =
+            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
         assert!(
             fi.ecc.uncorrectable_total() >= 1,
             "seed {seed}: double flip escaped detection"
@@ -97,7 +98,7 @@ fn lockstep_catches_what_disabled_ecc_lets_through() {
         mem_flips: 300,
         ..SoftErrorDose::none()
     };
-    let (_, fi) = acc.process_with_integrity(&frame, &model, &unprotected, &dose);
+    let (_, fi) = acc.process_with_integrity(&frame, &model, &unprotected, &dose, None);
     assert_eq!(fi.ecc.detected_total(), 0);
     assert!(
         fi.faults()
@@ -118,7 +119,7 @@ fn watchdog_reports_schedule_overruns() {
         stall_cycles: 1000,
         ..SoftErrorDose::none()
     };
-    let (_, fi) = acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose);
+    let (_, fi) = acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
     assert!(
         fi.faults().iter().any(|f| f.label() == "watchdog_overrun"),
         "{:?}",
@@ -200,12 +201,12 @@ fn sharded_single_bit_storms_are_corrected_per_shard_with_zero_escapes() {
                 mem_flips: 6,
                 ..SoftErrorDose::none()
             };
-            let (report, fi) = acc.process_with_integrity_sharded(
+            let (report, fi) = acc.process_with_integrity(
                 &frame,
                 &model,
                 &IntegrityConfig::full(),
                 &dose,
-                &mut fleet,
+                Some(&mut fleet),
             );
             assert!(
                 fi.ecc.corrected_total() >= 6,
@@ -247,12 +248,12 @@ fn sharded_double_bit_faults_quarantine_exactly_one_shard() {
             mem_double_flips: 1,
             ..SoftErrorDose::none()
         };
-        let (report, fi) = acc.process_with_integrity_sharded(
+        let (report, fi) = acc.process_with_integrity(
             &frame,
             &model,
             &IntegrityConfig::full(),
             &dose,
-            &mut fleet,
+            Some(&mut fleet),
         );
         assert_eq!(
             fi.shard_quarantines.len(),
@@ -279,6 +280,7 @@ fn ecc_off_empty_dose_matches_the_unprotected_pipeline_exactly() {
         &model,
         &IntegrityConfig::off(),
         &SoftErrorDose::none(),
+        None,
     );
     assert_eq!(report, plain);
     assert_eq!(fi.ecc.detected_total(), 0);

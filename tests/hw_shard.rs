@@ -55,12 +55,12 @@ check! {
         let acc = accelerator(&model);
         let single = acc.process(&frame);
         let mut f = fleet(shards);
-        let (banded, fi) = acc.process_with_integrity_sharded(
+        let (banded, fi) = acc.process_with_integrity(
             &frame,
             &model,
             &IntegrityConfig::full(),
             &SoftErrorDose::none(),
-            &mut f,
+            Some(&mut f),
         );
         check_assert_eq!(banded.detections, single.detections);
         check_assert!(fi.faults().is_empty(), "clean frame faulted: {:?}", fi.faults());
@@ -84,12 +84,12 @@ check! {
         let clean = acc.process(&frame);
         let mut f = fleet(shards);
         let dose = SoftErrorDose { seed, mem_double_flips: 1, ..SoftErrorDose::none() };
-        let (banded, fi) = acc.process_with_integrity_sharded(
+        let (banded, fi) = acc.process_with_integrity(
             &frame,
             &model,
             &IntegrityConfig::full(),
             &dose,
-            &mut f,
+            Some(&mut f),
         );
         check_assert_eq!(banded.detections, clean.detections);
         // The strike lands in exactly one band: one shard quarantined,
@@ -114,20 +114,20 @@ check! {
         let acc = accelerator(&model);
         let mut f = fleet(shards);
         let dose = SoftErrorDose { seed, mem_double_flips: 1, ..SoftErrorDose::none() };
-        let (_, fi) = acc.process_with_integrity_sharded(
-            &frame, &model, &IntegrityConfig::full(), &dose, &mut f,
+        let (_, fi) = acc.process_with_integrity(
+            &frame, &model, &IntegrityConfig::full(), &dose, Some(&mut f),
         );
         check_assert_eq!(fi.shards_active, (shards - 1) as u64);
         // Clean frames during the cooldown: the quarantined shard's band
         // is reassigned (failover) without any new quarantine.
-        let (_, fi2) = acc.process_with_integrity_sharded(
-            &frame, &model, &IntegrityConfig::full(), &SoftErrorDose::none(), &mut f,
+        let (_, fi2) = acc.process_with_integrity(
+            &frame, &model, &IntegrityConfig::full(), &SoftErrorDose::none(), Some(&mut f),
         );
         check_assert!(fi2.shard_quarantines.is_empty());
         check_assert!(fi2.shard_failovers >= 1);
         for _ in 0..QuarantinePolicy::default().cooldown_frames {
-            let (_, _) = acc.process_with_integrity_sharded(
-                &frame, &model, &IntegrityConfig::full(), &SoftErrorDose::none(), &mut f,
+            let (_, _) = acc.process_with_integrity(
+                &frame, &model, &IntegrityConfig::full(), &SoftErrorDose::none(), Some(&mut f),
             );
         }
         check_assert_eq!(f.healthy().len(), shards);
@@ -147,8 +147,13 @@ fn exhausted_fleet_escalates_instead_of_serving_silence() {
     };
     // The only shard faults and quarantines; no healthy shard remains to
     // take the band, so the frame is refused loudly.
-    let (report, fi) =
-        acc.process_with_integrity_sharded(&frame, &model, &IntegrityConfig::full(), &dose, &mut f);
+    let (report, fi) = acc.process_with_integrity(
+        &frame,
+        &model,
+        &IntegrityConfig::full(),
+        &dose,
+        Some(&mut f),
+    );
     assert_eq!(fi.fleet_exhausted, Some(1));
     assert!(
         fi.faults().iter().any(|f| f.label() == "fleet_exhausted"),

@@ -6,8 +6,7 @@ use rtped::dataset::scene::SceneBuilder;
 use rtped::detect::detector::{Detect, DetectorConfig, FeaturePyramidDetector};
 use rtped::hog::feature_map::FeatureMap;
 use rtped::hog::params::HogParams;
-use rtped::hw::svm_engine::SvmEngine;
-use rtped::hw::{AcceleratorConfig, ClockDomain, HogAccelerator};
+use rtped::hw::{AcceleratorConfig, ClockDomain, HogAccelerator, ShardGeometry};
 use rtped::image::GrayImage;
 use rtped::svm::LinearSvm;
 
@@ -93,9 +92,9 @@ fn hw_and_float_detectors_agree_on_detections() {
 
 #[test]
 fn paper_hdtv_cycle_claims() {
-    let engine = SvmEngine::new();
+    let paper = ShardGeometry::paper();
     let clock = ClockDomain::MHZ_125;
-    let classifier = engine.cycles_per_frame(240, 135);
+    let classifier = paper.frame_cycles(240, 135);
     assert_eq!(classifier, 1_200_420, "the paper's exact cycle count");
     assert!(clock.millis(classifier) < 10.0);
     let stream = rtped::hw::timing::pixel_stream_cycles(1920, 1080);
