@@ -34,12 +34,19 @@ rm -f "$lint_a" "$lint_b"
 echo "== rtped-lint --self-check (the analyzer lints itself) =="
 ./target/release/rtped-lint --self-check >/dev/null
 
-echo "== rtped-lint self-test (bad fixture corpus must fail the gate) =="
+echo "== rtped-lint self-test (bad fixture corpus must fail the gate, report must match the golden) =="
+lint_bad=$(mktemp)
 if ./target/release/rtped-lint \
-    crates/lint/tests/fixtures/bad >/dev/null 2>&1; then
+    crates/lint/tests/fixtures/bad >"$lint_bad" 2>/dev/null; then
     echo "rtped-lint: bad fixture corpus unexpectedly passed" >&2
     exit 1
 fi
+if ! diff -q crates/lint/tests/fixtures/bad.report.json "$lint_bad" >/dev/null; then
+    echo "rtped-lint: bad-corpus report differs from crates/lint/tests/fixtures/bad.report.json" >&2
+    diff crates/lint/tests/fixtures/bad.report.json "$lint_bad" >&2 || true
+    exit 1
+fi
+rm -f "$lint_bad"
 
 echo "== cargo build --release --offline (all targets) =="
 cargo build --workspace --all-targets --release --offline

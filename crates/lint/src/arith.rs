@@ -156,7 +156,7 @@ fn is_binary(stmt: &[LexToken], k: usize) -> bool {
         LexKind::Ident => !is_non_value_keyword(&prev.text),
         LexKind::Int | LexKind::Float | LexKind::Str | LexKind::RawStr | LexKind::Char => true,
         LexKind::Punct => matches!(prev.text.as_str(), ")" | "]" | "?"),
-        LexKind::Lifetime => false,
+        LexKind::Lifetime | LexKind::Comment => false,
     }
 }
 
@@ -202,10 +202,9 @@ fn shift_amount_is_literal(stmt: &[LexToken], k: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
 
     fn run(rel: &str, src: &str) -> Vec<Violation> {
-        let toks = crate::lexer::lex(src, &scan(src));
+        let toks = crate::lexer::lex(src).toks;
         let mut out = Vec::new();
         check(rel, &toks, &[], &mut out);
         out

@@ -8,7 +8,7 @@
 //!
 //! - `use rtped_core::json::Json` resolves to `crates/core/src/json.rs`
 //!   when that file exists, else to the crate root `lib.rs`;
-//! - `use crate::scan::...` and `use super::...` resolve within the crate;
+//! - `use crate::lexer::...` and `use super::...` resolve within the crate;
 //! - `mod child;` resolves to the child file (`child.rs` or
 //!   `child/mod.rs`), and inline `mod child { ... }` adds no edge;
 //! - paths that resolve to nothing in the walked file set (std,
@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use crate::lexer::{LexKind, LexToken};
+use crate::lexer::{matching, LexKind, LexToken};
 
 /// One resolved use/mod edge.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -225,18 +225,15 @@ fn resolve_use(
     crate_table: &BTreeMap<String, String>,
     files: &BTreeSet<&str>,
 ) -> (Vec<String>, usize) {
-    // Collect the declaration's tokens up to the terminating `;`.
+    // Collect the declaration's tokens up to the terminating `;`, jumping
+    // over brace groups (an unclosed one runs to the end of the stream).
     let mut end = start;
-    let mut depth = 0usize;
-    while end < toks.len() {
-        if toks[end].is_punct("{") {
-            depth += 1;
-        } else if toks[end].is_punct("}") {
-            depth = depth.saturating_sub(1);
-        } else if toks[end].is_punct(";") && depth == 0 {
-            break;
-        }
-        end += 1;
+    while end < toks.len() && !toks[end].is_punct(";") {
+        end = if toks[end].is_punct("{") {
+            matching(toks, end).map_or(toks.len(), |c| c + 1)
+        } else {
+            end + 1
+        };
     }
     let decl = &toks[start..end.min(toks.len())];
     let mut targets = Vec::new();
@@ -406,12 +403,11 @@ fn resolve_child_module(rel: &str, name: &str, files: &BTreeSet<&str>) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
 
     fn lex_map(files: &[(&str, &str)]) -> BTreeMap<String, Vec<LexToken>> {
         files
             .iter()
-            .map(|(rel, src)| (rel.to_string(), crate::lexer::lex(src, &scan(src))))
+            .map(|(rel, src)| (rel.to_string(), crate::lexer::lex(src).toks))
             .collect()
     }
 

@@ -1,23 +1,27 @@
-//! A token-level lexer for Rust source, layered on the region scanner.
+//! The one Rust lexer every rule reads.
 //!
-//! [`crate::scan`] stays the string/comment oracle: it decides which bytes
-//! are code and which are literals or comments, and this module lexes the
-//! *code* bytes into spanned tokens — identifiers, lifetimes, numeric
-//! literals with their suffixes, and maximal-munch punctuation — while
-//! string/char literal regions surface as single literal tokens. That is
-//! the vocabulary the cross-cutting rules need: `<<` as one token (so the
-//! overflow audit can ask "is this a shift?"), `::` as one token (so
-//! `env::var` is three tokens, not five), and numeric suffixes attached to
-//! their literal (so `4096i32` names the width `i32` without a phantom
-//! identifier appearing in the stream).
+//! The rule engine must never mistake a `//` inside a string literal for
+//! a comment, or an `unwrap()` inside a doc comment for a call, so a
+//! single pass over the bytes classifies line and nested block comments,
+//! strings (regular and byte), raw strings (any `#` count), and char/byte
+//! literals (disambiguated from lifetimes), and lexes everything else into
+//! spanned tokens — identifiers, lifetimes, numeric literals with their
+//! suffixes, and maximal-munch punctuation. That is the vocabulary the
+//! cross-cutting rules need: `<<` as one token (so the overflow audit can
+//! ask "is this a shift?"), `::` as one token (so `env::var` is three
+//! tokens, not five), and numeric suffixes attached to their literal (so
+//! `4096i32` names the width `i32` without a phantom identifier appearing
+//! in the stream).
 //!
-//! Like the scanner, the lexer is total: arbitrary or truncated input
-//! produces *some* token stream, never a panic. Tokens carry byte spans
-//! and 1-based lines, plus an `in_attr` flag marking attribute context
-//! (`#[...]` / `#![...]`), which downstream rules use to skip
-//! configuration syntax.
-
-use crate::scan::{Kind, Scan};
+//! Comments are *trivia*: they come back in their own list beside the
+//! code tokens, so the token-stream rules never see them while the pragma
+//! parser and the `SAFETY:` check read them directly.
+//!
+//! The lexer is total: arbitrary or truncated input produces *some* token
+//! stream, never a panic, and an unterminated string, raw string or block
+//! comment runs to end of input. Tokens carry byte spans and 1-based
+//! lines, plus an `in_attr` flag marking attribute context (`#[...]` /
+//! `#![...]`), which downstream rules use to skip configuration syntax.
 
 /// What one lexical token is.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,14 +34,17 @@ pub enum LexKind {
     Int,
     /// Float literal (has a `.` or exponent); suffix split off.
     Float,
-    /// `"..."`/`b"..."` string literal (whole region, delimiters included).
+    /// `"..."`/`b"..."` string literal (delimiters included).
     Str,
-    /// Raw string literal (whole region).
+    /// `r"..."` / `r#"..."#` / `br#"..."#` raw string (delimiters included).
     RawStr,
-    /// Char or byte literal (whole region).
+    /// `'x'` char or `b'x'` byte literal (prefix and delimiters included).
     Char,
     /// Punctuation, maximal munch: `<<=`, `::`, `->`, `+`, `(` ...
     Punct,
+    /// `//` comment (up to, not including, the newline) or nested
+    /// `/* ... */` comment. Only ever found in [`Lexed::trivia`].
+    Comment,
 }
 
 /// One token with its span and context.
@@ -45,7 +52,8 @@ pub enum LexKind {
 pub struct LexToken {
     /// Token class.
     pub kind: LexKind,
-    /// Source text of the token (for `Str`/`RawStr` the full literal).
+    /// Source text of the token (for literals and comments the full
+    /// construct, delimiters included).
     pub text: String,
     /// For `Int`/`Float`: the literal's type suffix (`u64`, `f32`, ...).
     pub suffix: Option<String>,
@@ -73,6 +81,15 @@ impl LexToken {
     }
 }
 
+/// A lexed file: code tokens and comment trivia, each in source order.
+#[derive(Debug, Clone, Default)]
+pub struct Lexed {
+    /// Code tokens (literals included), attribute context marked.
+    pub toks: Vec<LexToken>,
+    /// Comments, kind [`LexKind::Comment`].
+    pub trivia: Vec<LexToken>,
+}
+
 /// Multi-character operators, longest first so maximal munch is a simple
 /// first-match scan.
 const OPERATORS: &[&str] = &[
@@ -88,265 +105,287 @@ fn is_ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// Lexes `src` into tokens, using `scan` as the region oracle. Comment
-/// regions produce no tokens; literal regions produce one token each.
+/// End of the run of identifier bytes starting at `j`.
+fn ident_run(b: &[u8], j: usize) -> usize {
+    j + b[j..].iter().take_while(|&&x| is_ident_continue(x)).count()
+}
+
+/// Lexes `src` into code tokens and comment trivia.
 #[must_use]
-pub fn lex(src: &str, scan: &Scan) -> Vec<LexToken> {
-    let mut out = Vec::new();
-    let bytes = src.as_bytes();
-    for region in &scan.regions {
-        let line = region.line;
-        match region.kind {
-            Kind::LineComment | Kind::BlockComment => {}
-            Kind::Str | Kind::RawStr | Kind::CharLit => {
-                let kind = match region.kind {
-                    Kind::Str => LexKind::Str,
-                    Kind::RawStr => LexKind::RawStr,
-                    _ => LexKind::Char,
-                };
-                out.push(LexToken {
-                    kind,
-                    text: src.get(region.start..region.end).unwrap_or("").to_string(),
-                    suffix: None,
-                    start: region.start,
-                    end: region.end,
-                    line,
-                    in_attr: false,
-                });
+pub fn lex(src: &str) -> Lexed {
+    let b = src.as_bytes();
+    let n = b.len();
+    let mut out = Lexed::default();
+    let mut line = 1usize;
+    let mut i = 0usize;
+    while i < n {
+        let c = b[i];
+        if c.is_ascii_whitespace() {
+            line += usize::from(c == b'\n');
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let next = b.get(i + 1).copied();
+        let mut suffix = None;
+        let mut hidden = 0;
+        let kind = if c == b'/' && next == Some(b'/') {
+            i = b[i..].iter().position(|&x| x == b'\n').map_or(n, |k| i + k);
+            LexKind::Comment
+        } else if c == b'/' && next == Some(b'*') {
+            i = block_comment_end(b, i);
+            LexKind::Comment
+        } else if let Some(end) = raw_string_end(b, i) {
+            i = end;
+            LexKind::RawStr
+        } else if c == b'"' || (c == b'b' && next == Some(b'"')) {
+            (i, hidden) = string_end(b, i + 1 + usize::from(c == b'b'));
+            LexKind::Str
+        } else if let Some(end) =
+            char_literal_end(src, i + usize::from(c == b'b' && next == Some(b'\'')))
+        {
+            i = end;
+            LexKind::Char
+        } else if is_ident_start(c) {
+            i = ident_run(b, i);
+            LexKind::Ident
+        } else if c.is_ascii_digit() {
+            let (end, is_float, suffix_start) = number_end(b, i);
+            i = end;
+            suffix = (end > suffix_start).then(|| src[suffix_start..end].to_string());
+            if is_float || suffix.as_deref().is_some_and(|s| s.starts_with('f')) {
+                LexKind::Float
+            } else {
+                LexKind::Int
             }
-            Kind::Code => lex_code(bytes, src, region.start, region.end, line, &mut out),
+        } else if c == b'\'' && next.is_some_and(is_ident_start) {
+            i = ident_run(b, i + 1);
+            LexKind::Lifetime
+        } else {
+            let rest = &b[i..];
+            i += OPERATORS
+                .iter()
+                .find(|op| rest.starts_with(op.as_bytes()))
+                .map_or(1, |op| op.len());
+            LexKind::Punct
+        };
+        let tok = LexToken {
+            kind,
+            text: src.get(start..i).unwrap_or("").to_string(),
+            suffix,
+            start,
+            end: i,
+            line,
+            in_attr: false,
+        };
+        // A newline escaped by a backslash inside a string (a string
+        // continuation) is deliberately not counted, so every later line
+        // of the file reports one early. The line numbers pinned in
+        // LINT_BASELINE.json and the fixture report follow that count;
+        // correcting it is a separate, report-changing fix.
+        line += b[start..i].iter().filter(|&&x| x == b'\n').count() - hidden;
+        if tok.kind == LexKind::Comment {
+            out.trivia.push(tok);
+        } else {
+            out.toks.push(tok);
         }
     }
-    mark_attr_context(&mut out);
+    mark_attr_context(&mut out.toks);
     out
 }
 
-/// Lexes one code region (`bytes[start..end]`) starting on `line`.
-fn lex_code(
-    bytes: &[u8],
-    src: &str,
-    start: usize,
-    end: usize,
-    mut line: usize,
-    out: &mut Vec<LexToken>,
-) {
-    let mut i = start;
-    while i < end {
-        let c = bytes[i];
-        if c == b'\n' {
-            line += 1;
-            i += 1;
-            continue;
+/// End of the nested block comment opening at `i` (or end of input).
+fn block_comment_end(b: &[u8], i: usize) -> usize {
+    let mut depth = 1usize;
+    let mut j = i + 2;
+    while j < b.len() && depth > 0 {
+        if b[j..].starts_with(b"/*") {
+            depth += 1;
+            j += 2;
+        } else if b[j..].starts_with(b"*/") {
+            depth -= 1;
+            j += 2;
+        } else {
+            j += 1;
         }
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        if is_ident_start(c) {
-            let tok_start = i;
-            while i < end && is_ident_continue(bytes[i]) {
-                i += 1;
-            }
-            out.push(LexToken {
-                kind: LexKind::Ident,
-                text: src.get(tok_start..i).unwrap_or("").to_string(),
-                suffix: None,
-                start: tok_start,
-                end: i,
-                line,
-                in_attr: false,
-            });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            i = lex_number(bytes, src, i, end, line, out);
-            continue;
-        }
-        // Lifetime: a quote the scanner did not classify as a char
-        // literal, followed by an identifier.
-        if c == b'\'' && i + 1 < end && is_ident_start(bytes[i + 1]) {
-            let tok_start = i;
-            i += 1;
-            while i < end && is_ident_continue(bytes[i]) {
-                i += 1;
-            }
-            out.push(LexToken {
-                kind: LexKind::Lifetime,
-                text: src.get(tok_start..i).unwrap_or("").to_string(),
-                suffix: None,
-                start: tok_start,
-                end: i,
-                line,
-                in_attr: false,
-            });
-            continue;
-        }
-        // Maximal-munch multi-character operator, else single punctuation.
-        let rest = &bytes[i..end];
-        let op_len = OPERATORS
-            .iter()
-            .find(|op| rest.starts_with(op.as_bytes()))
-            .map_or(1, |op| op.len());
-        out.push(LexToken {
-            kind: LexKind::Punct,
-            text: src.get(i..i + op_len).unwrap_or("").to_string(),
-            suffix: None,
-            start: i,
-            end: i + op_len,
-            line,
-            in_attr: false,
-        });
-        i += op_len;
     }
+    j.min(b.len())
 }
 
-/// Lexes a numeric literal at `i`, splitting off any type suffix.
-/// Returns the offset one past the literal.
-fn lex_number(
-    bytes: &[u8],
-    src: &str,
-    i: usize,
-    end: usize,
-    line: usize,
-    out: &mut Vec<LexToken>,
-) -> usize {
-    let tok_start = i;
-    let mut j = i;
-    let mut is_float = false;
-    let radix_prefix = j + 2 <= end
-        && bytes[j] == b'0'
-        && matches!(bytes[j + 1], b'x' | b'X' | b'b' | b'B' | b'o' | b'O');
-    if radix_prefix {
-        j += 2;
-        while j < end && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-            j += 1;
+/// If a raw string (`r"`, `r#"`, `br##"`, ...) opens at `i`, its end: one
+/// past the closing quote and hashes, or end of input.
+fn raw_string_end(b: &[u8], i: usize) -> Option<usize> {
+    let mut j = i + usize::from(b[i] == b'b');
+    if b.get(j) != Some(&b'r') {
+        return None;
+    }
+    j += 1;
+    let hashes = b[j..].iter().take_while(|&&x| x == b'#').count();
+    j += hashes;
+    if b.get(j) != Some(&b'"') {
+        return None;
+    }
+    let closer: Vec<u8> = std::iter::once(b'"')
+        .chain(std::iter::repeat_n(b'#', hashes))
+        .collect();
+    let body = j + 1;
+    Some(
+        (body..b.len())
+            .find(|&k| b[k..].starts_with(&closer))
+            .map_or(b.len(), |k| k + closer.len()),
+    )
+}
+
+/// End of the string whose body starts at `body` (one past the closing
+/// quote, or end of input), and how many newlines sit right behind a
+/// backslash.
+fn string_end(b: &[u8], body: usize) -> (usize, usize) {
+    let mut hidden = 0;
+    let mut j = body;
+    while j < b.len() {
+        match b[j] {
+            b'\\' => {
+                hidden += usize::from(b.get(j + 1) == Some(&b'\n'));
+                j += 2;
+            }
+            b'"' => return (j + 1, hidden),
+            _ => j += 1,
         }
-        // Hex digits swallow any suffix ambiguity; no suffix split for
-        // radix literals (none appear in width positions the rules check).
-        push_number(src, tok_start, j, line, false, None, out);
-        return j;
     }
-    while j < end && (bytes[j].is_ascii_digit() || bytes[j] == b'_') {
-        j += 1;
+    (b.len(), hidden)
+}
+
+/// If a character literal starts at the `'` at byte `i`, returns its end
+/// offset (one past the closing quote); `None` means lifetime (or no
+/// quote at all).
+fn char_literal_end(src: &str, i: usize) -> Option<usize> {
+    let b = src.as_bytes();
+    if b.get(i) != Some(&b'\'') {
+        return None;
     }
+    if b.get(i + 1) == Some(&b'\\') {
+        // Escape: consume the escaped char, then find the closing quote
+        // within a small bound (covers \u{...}, \x41, \n, \', ...).
+        let mut j = i + 2;
+        if j < b.len() {
+            j += src[j..].chars().next().map_or(1, char::len_utf8);
+        }
+        let limit = (j + 10).min(b.len());
+        return (j..limit).find(|&k| b[k] == b'\'').map(|k| k + 1);
+    }
+    // Unescaped: exactly one char (not a quote) then a closing quote.
+    let next = src.get(i + 1..)?.chars().next()?;
+    let j = i + 1 + next.len_utf8();
+    (next != '\'' && b.get(j) == Some(&b'\'')).then_some(j + 1)
+}
+
+/// Scans a numeric literal at `i`: returns its end, whether it has a
+/// fractional part or exponent, and where its type suffix starts (equal
+/// to the end when there is none; radix literals never split a suffix,
+/// since none appear in width positions the rules check).
+fn number_end(b: &[u8], i: usize) -> (usize, bool, usize) {
+    let digits = |j: usize| {
+        j + b[j..]
+            .iter()
+            .take_while(|&&x| x.is_ascii_digit() || x == b'_')
+            .count()
+    };
+    if b[i] == b'0' && matches!(b.get(i + 1), Some(b'x' | b'X' | b'b' | b'B' | b'o' | b'O')) {
+        let end = ident_run(b, i + 2);
+        return (end, false, end);
+    }
+    let mut j = digits(i);
+    let mut is_float = false;
     // A fractional part: a single `.` followed by a digit (so `0..n`
     // ranges and `1.method()` calls stay untouched).
-    if j + 1 < end && bytes[j] == b'.' && bytes[j + 1].is_ascii_digit() {
+    if b.get(j) == Some(&b'.') && b.get(j + 1).is_some_and(u8::is_ascii_digit) {
         is_float = true;
-        j += 1;
-        while j < end && (bytes[j].is_ascii_digit() || bytes[j] == b'_') {
-            j += 1;
-        }
+        j = digits(j + 1);
     }
     // Exponent (`1e9`, `2.5E-3`): only when followed by a digit or a
     // signed digit, otherwise the `e...` run is a type-suffix candidate.
-    if j < end && (bytes[j] == b'e' || bytes[j] == b'E') {
-        let mut k = j + 1;
-        if k < end && (bytes[k] == b'+' || bytes[k] == b'-') {
-            k += 1;
-        }
-        if k < end && bytes[k].is_ascii_digit() {
+    if matches!(b.get(j), Some(b'e' | b'E')) {
+        let k = j + 1 + usize::from(matches!(b.get(j + 1), Some(b'+' | b'-')));
+        if b.get(k).is_some_and(u8::is_ascii_digit) {
             is_float = true;
-            j = k;
-            while j < end && (bytes[j].is_ascii_digit() || bytes[j] == b'_') {
-                j += 1;
-            }
+            j = digits(k);
         }
     }
-    // Type suffix: a trailing alphanumeric run (`u64`, `f32`, `usize`).
-    let suffix_start = j;
-    while j < end && is_ident_continue(bytes[j]) {
-        j += 1;
-    }
-    let suffix = if j > suffix_start {
-        src.get(suffix_start..j).map(str::to_string)
-    } else {
-        None
-    };
-    let is_float = is_float || suffix.as_deref().is_some_and(|s| s.starts_with('f'));
-    push_number(src, tok_start, j, line, is_float, suffix, out);
-    j
+    (ident_run(b, j), is_float, j)
 }
 
-fn push_number(
-    src: &str,
-    start: usize,
-    end: usize,
-    line: usize,
-    is_float: bool,
-    suffix: Option<String>,
-    out: &mut Vec<LexToken>,
-) {
-    out.push(LexToken {
-        kind: if is_float {
-            LexKind::Float
+/// The index of the delimiter matching the one at `at`: searching forward
+/// from an opener (`(`, `[`, `{`), backward from a closer, and counting
+/// only that delimiter pair. `None` when `at` holds no delimiter or the
+/// group is unbalanced.
+#[must_use]
+pub(crate) fn matching(toks: &[LexToken], at: usize) -> Option<usize> {
+    const PAIRS: [(&str, &str); 3] = [("(", ")"), ("[", "]"), ("{", "}")];
+    let t = toks.get(at)?;
+    let (this, partner, forward) = PAIRS.iter().find_map(|&(open, close)| {
+        if t.is_punct(open) {
+            Some((open, close, true))
+        } else if t.is_punct(close) {
+            Some((close, open, false))
         } else {
-            LexKind::Int
-        },
-        text: src.get(start..end).unwrap_or("").to_string(),
-        suffix,
-        start,
-        end,
-        line,
-        in_attr: false,
-    });
+            None
+        }
+    })?;
+    let mut depth = 0usize;
+    let mut closes = |k: &usize| {
+        if toks[*k].is_punct(this) {
+            depth += 1;
+        } else if toks[*k].is_punct(partner) {
+            depth -= 1;
+            return depth == 0;
+        }
+        false
+    };
+    if forward {
+        (at..toks.len()).find(|k| closes(k))
+    } else {
+        (0..=at).rev().find(|k| closes(k))
+    }
 }
 
 /// Marks every token inside `#[...]` / `#![...]` spans with `in_attr`.
-/// Bracket nesting inside the attribute is honoured; an unclosed
-/// attribute extends to end of stream (total on malformed input).
+/// An unclosed attribute extends to end of stream (total on malformed
+/// input).
 fn mark_attr_context(toks: &mut [LexToken]) {
     let mut i = 0;
     while i < toks.len() {
-        if !toks[i].is_punct("#") {
+        let j = i + 1 + usize::from(toks.get(i + 1).is_some_and(|t| t.is_punct("!")));
+        if !toks[i].is_punct("#") || !toks.get(j).is_some_and(|t| t.is_punct("[")) {
             i += 1;
             continue;
         }
-        let mut j = i + 1;
-        if j < toks.len() && toks[j].is_punct("!") {
-            j += 1;
-        }
-        if j >= toks.len() || !toks[j].is_punct("[") {
-            i += 1;
-            continue;
-        }
-        let mut depth = 0usize;
-        let mut k = j;
-        while k < toks.len() {
-            if toks[k].is_punct("[") {
-                depth += 1;
-            } else if toks[k].is_punct("]") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            k += 1;
-        }
-        let close = k.min(toks.len().saturating_sub(1));
-        for t in toks.iter_mut().take(close + 1).skip(i) {
+        let close = matching(toks, j).unwrap_or(toks.len() - 1);
+        for t in &mut toks[i..=close] {
             t.in_attr = true;
         }
-        i = k + 1;
+        i = close + 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
-
-    fn lex_src(src: &str) -> Vec<LexToken> {
-        lex(src, &scan(src))
-    }
 
     fn texts(src: &str) -> Vec<(LexKind, String)> {
-        lex_src(src).into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src)
+            .toks
+            .into_iter()
+            .map(|t| (t.kind, t.text))
+            .collect()
+    }
+
+    fn comments(src: &str) -> Vec<String> {
+        lex(src).trivia.into_iter().map(|t| t.text).collect()
     }
 
     #[test]
     fn idents_numbers_and_suffixes() {
-        let toks = lex_src("let x = 4096i32 + 1.5f64;");
+        let toks = lex("let x = 4096i32 + 1.5f64;").toks;
         assert!(toks.iter().any(|t| t.is_ident("let")));
         let int = toks.iter().find(|t| t.kind == LexKind::Int).unwrap();
         assert_eq!(int.text, "4096i32");
@@ -371,18 +410,22 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let toks = lex_src("fn f<'a>(x: &'a str) { let c = 'x'; }");
+        let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; }").toks;
         assert!(toks
             .iter()
             .any(|t| t.kind == LexKind::Lifetime && t.text == "'a"));
         assert!(toks
             .iter()
             .any(|t| t.kind == LexKind::Char && t.text == "'x'"));
+        let got = texts("let nl = '\\n'; let lt: &'static str = \"s\";");
+        assert!(got.contains(&(LexKind::Char, "'\\n'".into())));
+        assert!(got.contains(&(LexKind::Lifetime, "'static".into())));
+        assert!(got.contains(&(LexKind::Str, "\"s\"".into())));
     }
 
     #[test]
     fn ranges_do_not_become_floats() {
-        let toks = lex_src("for i in 0..38u32 {}");
+        let toks = lex("for i in 0..38u32 {}").toks;
         assert!(toks.iter().any(|t| t.kind == LexKind::Int && t.text == "0"));
         assert!(toks.iter().any(|t| t.is_punct("..")));
         let hi = toks
@@ -394,7 +437,7 @@ mod tests {
 
     #[test]
     fn attr_context_is_marked() {
-        let toks = lex_src("#[cfg(test)]\nmod tests {}\n");
+        let toks = lex("#[cfg(test)]\nmod tests {}\n").toks;
         let cfg = toks.iter().find(|t| t.is_ident("cfg")).unwrap();
         assert!(cfg.in_attr);
         let m = toks.iter().find(|t| t.is_ident("mod")).unwrap();
@@ -402,21 +445,71 @@ mod tests {
     }
 
     #[test]
-    fn string_regions_surface_as_single_tokens() {
-        let toks = lex_src(r####"let s = r#"a :: b"#; let t = "x + y";"####);
-        assert_eq!(toks.iter().filter(|t| t.kind == LexKind::RawStr).count(), 1);
-        assert_eq!(toks.iter().filter(|t| t.kind == LexKind::Str).count(), 1);
+    fn comments_are_trivia_and_never_tokens() {
+        let src = "let x = 1; // tail\nlet y = \"s // not\";\n/* b /* nest */ end */ let z = 'c';";
+        assert_eq!(comments(src), ["// tail", "/* b /* nest */ end */"]);
+        let got = texts(src);
+        assert!(got.contains(&(LexKind::Str, "\"s // not\"".into())));
+        assert!(got.contains(&(LexKind::Char, "'c'".into())));
+        assert!(got.iter().all(|(_, t)| !t.contains("nest")));
+        let lexed = lex(src);
+        assert_eq!(lexed.trivia[1].line, 3);
+        assert!(lexed.toks.iter().any(|t| t.is_ident("z") && t.line == 3));
+    }
+
+    #[test]
+    fn string_literals_surface_as_single_tokens() {
+        let got = texts(r####"let s = r#"a :: b // c"#; let t = "x + y /* z */";"####);
+        assert!(got.contains(&(LexKind::RawStr, r####"r#"a :: b // c"#"####.into())));
+        assert!(got.contains(&(LexKind::Str, "\"x + y /* z */\"".into())));
+        let got = texts(r####"let b = br##"x"# still"##;"####);
+        assert!(got.contains(&(LexKind::RawStr, r####"br##"x"# still"##"####.into())));
         // Nothing inside the literals leaked into the punct stream.
-        assert!(!toks.iter().any(|t| t.is_punct("+")));
-        assert!(!toks.iter().any(|t| t.is_punct("::")));
+        assert!(!got.iter().any(|(k, t)| *k == LexKind::Punct && t == "+"));
+        assert!(comments(r####"let s = r#"// x"#;"####).is_empty());
+    }
+
+    #[test]
+    fn escaped_quotes_do_not_terminate_strings() {
+        let got = texts(r#"let s = "a \" b // c"; let t = 1;"#);
+        assert!(got.contains(&(LexKind::Str, r#""a \" b // c""#.into())));
+        assert!(got.contains(&(LexKind::Ident, "t".into())));
+    }
+
+    #[test]
+    fn unterminated_constructs_extend_to_eof_without_panicking() {
+        for (src, kind) in [
+            ("let s = \"never closed", LexKind::Str),
+            ("/* never closed", LexKind::Comment),
+            ("/* a /* b */ never closed", LexKind::Comment),
+            ("let r = r#\"never closed\"", LexKind::RawStr),
+        ] {
+            let lexed = lex(src);
+            let last = lexed.toks.iter().chain(&lexed.trivia).max_by_key(|t| t.end);
+            assert_eq!(last.map(|t| (&t.kind, t.end)), Some((&kind, src.len())));
+        }
+        let toks = lex("let q = '").toks;
+        assert_eq!(toks.last().map(|t| t.text.as_str()), Some("'"));
+    }
+
+    #[test]
+    fn matching_walks_both_ways_and_refuses_unbalanced_groups() {
+        let toks = lex("f(a, (b)) { [c] }").toks;
+        assert_eq!(matching(&toks, 1), Some(7));
+        assert_eq!(matching(&toks, 7), Some(1));
+        assert_eq!(matching(&toks, 8), Some(12));
+        assert_eq!(matching(&toks, 9), Some(11));
+        assert_eq!(matching(&toks, 0), None);
+        let open = lex("{ ( }").toks;
+        assert_eq!(matching(&open, 1), None);
+        assert_eq!(matching(&open, 0), Some(2));
     }
 
     #[test]
     fn spans_are_monotone_and_in_bounds() {
         let src = "fn f(a: u64) -> u64 { (a << 3) + 0x2f }";
-        let toks = lex_src(src);
         let mut pos = 0;
-        for t in &toks {
+        for t in &lex(src).toks {
             assert!(t.start >= pos, "{t:?}");
             assert!(t.end <= src.len());
             assert_eq!(&src[t.start..t.end], t.text, "span/text mismatch");

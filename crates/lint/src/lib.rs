@@ -5,11 +5,11 @@
 //! those are *project* invariants, and this crate is their machine
 //! checker (DESIGN.md §11). The stack, bottom-up:
 //!
-//! - [`scan`] — the string/comment oracle: byte-region classification
-//!   that never panics and degrades gracefully on malformed input;
-//! - [`lexer`] — spanned Rust tokens (idents, literals with suffixes,
-//!   maximal-munch punctuation, lifetimes, attribute context) lexed from
-//!   the code regions;
+//! - [`lexer`] — one total pass over each file's bytes: spanned Rust
+//!   tokens (idents, string/char literals, numbers with suffixes,
+//!   maximal-munch punctuation, lifetimes, attribute context) plus the
+//!   comments as trivia; it never mistakes a `//` in a string for a
+//!   comment, and never panics on malformed input;
 //! - [`graph`] — the module/use-graph: which file uses which, resolved
 //!   from `use`/`mod` declarations and qualified path heads;
 //! - [`rules`] — the per-file rule engine with suppression pragmas,
@@ -31,7 +31,6 @@ pub mod graph;
 pub mod lexer;
 pub mod locks;
 pub mod rules;
-pub mod scan;
 pub mod taint;
 pub mod walk;
 

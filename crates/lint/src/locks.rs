@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{LexKind, LexToken};
+use crate::lexer::{matching, LexKind, LexToken};
 use crate::rules::{Violation, LOCK_ORDER};
 
 /// The declared nesting order: `(outer, inner)` pairs that are allowed.
@@ -169,7 +169,7 @@ fn function_bodies(toks: &[LexToken]) -> Vec<&[LexToken]> {
                     // Trait-method declaration without a body.
                     break;
                 } else if t.is_punct("{") && paren == 0 {
-                    let end = matching_brace(toks, j);
+                    let end = matching(toks, j).map_or(toks.len(), |c| c + 1);
                     out.push(&toks[j..end]);
                     j = end;
                     break;
@@ -182,24 +182,6 @@ fn function_bodies(toks: &[LexToken]) -> Vec<&[LexToken]> {
         }
     }
     out
-}
-
-/// Index one past the brace matching the `{` at `open` (or stream end).
-fn matching_brace(toks: &[LexToken], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < toks.len() {
-        if toks[j].is_punct("{") {
-            depth += 1;
-        } else if toks[j].is_punct("}") {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
 }
 
 /// Walks one function body tracking live guards and emitting nesting
@@ -363,20 +345,7 @@ fn skip_paren_group(body: &[LexToken], j: usize) -> Option<usize> {
     if !body.get(j)?.is_punct("(") {
         return None;
     }
-    let mut depth = 0usize;
-    let mut k = j;
-    while k < body.len() {
-        if body[k].is_punct("(") {
-            depth += 1;
-        } else if body[k].is_punct(")") {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k + 1);
-            }
-        }
-        k += 1;
-    }
-    None
+    matching(body, j).map(|c| c + 1)
 }
 
 /// The lock's name: walking left from the `.` before `lock`, the nearest
@@ -390,25 +359,10 @@ fn receiver_name(body: &[LexToken], dot: usize) -> String {
         };
         if prev.is_punct(")") || prev.is_punct("]") {
             // Skip the bracketed group to its opener.
-            let close = if prev.is_punct(")") { ")" } else { "]" };
-            let open = if close == ")" { "(" } else { "[" };
-            let mut depth = 0usize;
-            let mut k = j - 1;
-            loop {
-                if body[k].is_punct(close) {
-                    depth += 1;
-                } else if body[k].is_punct(open) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                match k.checked_sub(1) {
-                    Some(n) => k = n,
-                    None => return "<unknown>".to_string(),
-                }
+            match matching(body, j - 1) {
+                Some(open) => j = open,
+                None => return "<unknown>".to_string(),
             }
-            j = k;
             continue;
         }
         if prev.kind == LexKind::Ident {
@@ -421,10 +375,9 @@ fn receiver_name(body: &[LexToken], dot: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
 
     fn run(src: &str) -> (BTreeSet<(String, String)>, Vec<Violation>) {
-        let toks = crate::lexer::lex(src, &scan(src));
+        let toks = crate::lexer::lex(src).toks;
         let mut edges = BTreeSet::new();
         let mut out = Vec::new();
         check("crates/serve/src/server.rs", &toks, &mut edges, &mut out);
@@ -477,7 +430,7 @@ mod tests {
     #[test]
     fn receiver_through_call_is_named_by_the_method() {
         let src = "fn f(&self) { let s = self.shard(name).lock(); }\n";
-        let toks = crate::lexer::lex(src, &scan(src));
+        let toks = crate::lexer::lex(src).toks;
         let mut edges = BTreeSet::new();
         let mut out = Vec::new();
         check("crates/serve/src/tenant.rs", &toks, &mut edges, &mut out);
@@ -485,7 +438,7 @@ mod tests {
         // second acquisition under the guard.
         assert!(out.is_empty());
         let src2 = "fn f(&self) {\n    let s = self.shard(name).lock();\n    let j = self.journal.lock();\n}\n";
-        let toks2 = crate::lexer::lex(src2, &scan(src2));
+        let toks2 = crate::lexer::lex(src2).toks;
         let mut edges2 = BTreeSet::new();
         let mut out2 = Vec::new();
         check("crates/serve/src/tenant.rs", &toks2, &mut edges2, &mut out2);

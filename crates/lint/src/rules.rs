@@ -18,10 +18,12 @@
 //!   happens only at the quantization boundaries, keeping the datapath
 //!   bit-reproducible.
 //! - `unsafe-without-safety-comment` — every `unsafe` must be preceded by
-//!   a `// SAFETY:` comment (or a `# Safety` doc section for `unsafe fn`).
+//!   a `// SAFETY:` comment (or a `# Safety` doc section for `unsafe fn`)
+//!   on its own line or in the comment-only/attribute-only lines directly
+//!   above it.
 //! - `unwrap-in-library` — `unwrap()`/`expect(`/`panic!` are forbidden in
 //!   non-`#[cfg(test)]` library code of `core`, `hw`, `runtime`, `svm`,
-//!   `image`, and `serve`.
+//!   `image`, `serve`, and `fleet`.
 //! - `noncanonical-json` — string literals carrying hand-rolled JSON
 //!   fragments are forbidden outside `rtped_core::json`; reports must go
 //!   through the canonical serializer.
@@ -37,19 +39,20 @@
 //!   must not reach wall-clock/env/thread-identity sources along the
 //!   use-graph except through the sanctioned facades.
 //!
-//! The per-file rules run over [`crate::lexer`] token streams; the last
-//! four are cross-cutting and are orchestrated by [`crate::run_workspace`]
-//! on top of the per-file [`Analysis`] this module produces.
+//! The per-file rules run over the [`crate::lexer`] token stream, and the
+//! pragma and `SAFETY:` checks over its comment trivia; the last four are
+//! cross-cutting and are orchestrated by [`crate::run_workspace`] on top
+//! of the per-file [`Analysis`] this module produces.
 //!
 //! Suppression: a line comment holding the `rtped-lint` marker, a colon,
 //! then `allow(<rule>, "<justification>")`, placed on the violating line
-//! or alone on the line directly above it. A pragma without a
-//! justification string is itself a violation (`suppression-pragma`), as
-//! is one naming an unknown rule. (The grammar is spelled indirectly
-//! here because this doc comment is itself scanned.)
+//! or alone (no code token starts on its line) on the line directly
+//! above it. A pragma without a justification string is itself a
+//! violation (`suppression-pragma`), as is one naming an unknown rule.
+//! (The grammar is spelled indirectly here because this doc comment is
+//! itself scanned.)
 
-use crate::lexer::{lex, LexKind, LexToken};
-use crate::scan::{scan, split, FileText};
+use crate::lexer::{lex, matching, LexKind, LexToken};
 
 /// Rule: wall-clock reads outside the sanctioned timer boundary.
 pub const WALL_CLOCK: &str = "wall-clock-in-deterministic";
@@ -153,13 +156,36 @@ pub struct Analysis {
 
 const PRAGMA_MARKER: &str = "rtped-lint:";
 
+/// Each comment line, as `(1-based line, text)`: a block comment
+/// spanning several lines yields one entry per line.
+fn comment_lines(trivia: &[LexToken]) -> Vec<(usize, &str)> {
+    trivia
+        .iter()
+        .flat_map(|c| {
+            c.text
+                .split('\n')
+                .enumerate()
+                .map(|(k, part)| (c.line + k, part))
+        })
+        .collect()
+}
+
+/// The code tokens starting on `line` (`toks` is in line order).
+fn tokens_on(toks: &[LexToken], line: usize) -> &[LexToken] {
+    &toks[toks.partition_point(|t| t.line < line)..toks.partition_point(|t| t.line <= line)]
+}
+
 /// Parses every pragma in the file's comments. Malformed pragmas become
 /// violations immediately.
-fn parse_pragmas(rel: &str, text: &FileText, raw: &mut Vec<Violation>) -> Vec<Pragma> {
+fn parse_pragmas(
+    rel: &str,
+    toks: &[LexToken],
+    comments: &[(usize, &str)],
+    raw: &mut Vec<Violation>,
+) -> Vec<Pragma> {
     let mut pragmas = Vec::new();
-    for (idx, comment) in text.comments.iter().enumerate() {
-        let line = idx + 1;
-        let mut rest = comment.as_str();
+    for &(line, comment) in comments {
+        let mut rest = comment;
         while let Some(pos) = rest.find(PRAGMA_MARKER) {
             rest = &rest[pos + PRAGMA_MARKER.len()..];
             let body = rest.trim_start();
@@ -215,16 +241,11 @@ fn parse_pragmas(rel: &str, text: &FileText, raw: &mut Vec<Violation>) -> Vec<Pr
                 });
                 continue;
             }
-            let standalone = text
-                .code
-                .get(idx)
-                .map(|c| c.trim().is_empty())
-                .unwrap_or(true);
             pragmas.push(Pragma {
                 line,
                 rule: rule.to_string(),
                 justification: justification.to_string(),
-                standalone,
+                standalone: tokens_on(toks, line).is_empty(),
             });
         }
     }
@@ -293,87 +314,47 @@ pub fn test_region_lines(toks: &[LexToken]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        let Some((attr_end, is_test_cfg)) = parse_attr(toks, i) else {
+        if !toks[i].in_attr {
             i += 1;
             continue;
-        };
-        if !is_test_cfg {
-            i = attr_end;
+        }
+        // One run of stacked attributes, each opening at its `#`.
+        let run_end = i + toks[i..].iter().take_while(|t| t.in_attr).count();
+        let test_attr = toks[i..run_end]
+            .chunk_by(|_, t| !t.is_punct("#"))
+            .find(|attr| is_test_cfg(attr));
+        i = run_end;
+        let Some(attr) = test_attr else {
             continue;
-        }
-        let start_line = toks[i].line;
-        // Skip any further attributes on the same item.
-        let mut j = attr_end;
-        while let Some((next_end, _)) = parse_attr(toks, j) {
-            j = next_end;
-        }
-        // The item body: everything to the matching close brace (or the
+        };
+        // The item: everything to the matching close brace (or the
         // terminating semicolon for brace-less items).
-        let mut depth = 0usize;
-        let mut end_line = start_line;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct("}") {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    end_line = t.line;
-                    j += 1;
-                    break;
+        let item = &toks[i..];
+        let end = item
+            .iter()
+            .position(|t| t.is_punct("{") || t.is_punct("}") || t.is_punct(";"))
+            .map_or(item.len(), |k| {
+                if item[k].is_punct("{") {
+                    matching(item, k).map_or(item.len(), |c| c + 1)
+                } else {
+                    k + 1
                 }
-            } else if t.is_punct(";") && depth == 0 {
-                end_line = t.line;
-                j += 1;
-                break;
-            }
-            end_line = t.line;
-            j += 1;
-        }
-        out.push((start_line, end_line));
-        i = j;
+            });
+        let start_line = attr[0].line;
+        out.push((
+            start_line,
+            item[..end].last().map_or(start_line, |t| t.line),
+        ));
+        i += end;
     }
     out
 }
 
-/// If an attribute (`#[...]` / `#![...]`) starts at token `i`, returns
-/// the index one past its closing `]` and whether it is a
-/// `cfg(... test ...)` attribute (excluding `cfg(not(test))`).
-fn parse_attr(toks: &[LexToken], i: usize) -> Option<(usize, bool)> {
-    if !toks.get(i)?.is_punct("#") {
-        return None;
-    }
-    let mut j = i + 1;
-    if toks.get(j).is_some_and(|t| t.is_punct("!")) {
-        j += 1;
-    }
-    if !toks.get(j).is_some_and(|t| t.is_punct("[")) {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut saw_cfg = false;
-    let mut saw_test = false;
-    let mut saw_not = false;
-    while j < toks.len() {
-        let t = &toks[j];
-        if t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct("]") {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return Some((j + 1, saw_cfg && saw_test && !saw_not));
-            }
-        } else if t.kind == LexKind::Ident {
-            match t.text.as_str() {
-                "cfg" => saw_cfg = true,
-                "test" => saw_test = true,
-                "not" => saw_not = true,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    Some((toks.len(), false))
+/// Whether one attribute's tokens make it `cfg(... test ...)`, excluding
+/// `cfg(not(test))`.
+fn is_test_cfg(attr: &[LexToken]) -> bool {
+    let has = |name| attr.iter().any(|t| t.is_ident(name));
+    has("cfg") && has("test") && !has("not")
 }
 
 /// Whether `line` falls inside any of the given test regions.
@@ -383,27 +364,28 @@ pub fn in_test_region(regions: &[(usize, usize)], line: usize) -> bool {
 }
 
 /// Whether a `// SAFETY:` (or `# Safety` doc section) comment is adjacent
-/// to `line`: on the line itself or in the contiguous comment/attribute
-/// block directly above it.
-fn has_safety_comment(text: &FileText, line: usize) -> bool {
-    let marker = |s: &str| s.contains("SAFETY:") || s.contains("# Safety");
-    if text.comments.get(line - 1).is_some_and(|c| marker(c)) {
-        return true;
-    }
-    let mut l = line - 1; // 1-based line above
-    while l >= 1 {
-        let comment = text.comments.get(l - 1).map(String::as_str).unwrap_or("");
-        let code = text.code.get(l - 1).map(String::as_str).unwrap_or("");
-        let code = code.trim();
-        let is_attr_only = !code.is_empty() && code.starts_with('#');
-        if !comment.is_empty() || is_attr_only {
-            if marker(comment) {
-                return true;
-            }
-            l -= 1;
-            continue;
+/// to `line`: on the line itself or in the contiguous block of
+/// comment-only and attribute-only lines directly above it. A line with
+/// other code ends the block, even when it carries a comment.
+fn has_safety_comment(toks: &[LexToken], comments: &[(usize, &str)], line: usize) -> bool {
+    let marked = |l: usize| {
+        comments
+            .iter()
+            .any(|&(cl, c)| cl == l && (c.contains("SAFETY:") || c.contains("# Safety")))
+    };
+    for l in (1..=line).rev() {
+        if marked(l) {
+            return true;
         }
-        break;
+        let code = tokens_on(toks, l - 1);
+        let extends = if code.is_empty() {
+            comments.iter().any(|&(cl, c)| cl == l - 1 && !c.is_empty())
+        } else {
+            code.iter().all(|t| t.in_attr)
+        };
+        if !extends {
+            return false;
+        }
     }
     false
 }
@@ -415,11 +397,11 @@ fn has_safety_comment(text: &FileText, line: usize) -> bool {
 /// through [`check_source`].
 #[must_use]
 pub fn analyze(rel: &str, src: &str) -> Analysis {
-    let scanned = scan(src);
-    let text = split(src, &scanned);
-    let toks = lex(src, &scanned);
+    let lexed = lex(src);
+    let comments = comment_lines(&lexed.trivia);
+    let toks = lexed.toks;
     let mut raw: Vec<Violation> = Vec::new();
-    let pragmas = parse_pragmas(rel, &text, &mut raw);
+    let pragmas = parse_pragmas(rel, &toks, &comments, &mut raw);
     let tests = test_region_lines(&toks);
 
     {
@@ -511,7 +493,7 @@ pub fn analyze(rel: &str, src: &str) -> Analysis {
                         t.text
                     ),
                 ),
-                "unsafe" if !has_safety_comment(&text, t.line) => push(
+                "unsafe" if !has_safety_comment(&toks, &comments, t.line) => push(
                     t.line,
                     UNSAFE_COMMENT,
                     "`unsafe` without an adjacent `// SAFETY:` comment stating \
@@ -558,11 +540,14 @@ pub fn analyze(rel: &str, src: &str) -> Analysis {
     // from chars so this source file does not carry the pattern itself.
     if in_src_tree(rel) && !is_sanctioned_json(rel) {
         let needle: String = ['"', ':'].iter().collect();
-        for (line, literal) in &text.strings {
-            if literal.contains(needle.as_str()) && !in_test_region(&tests, *line) {
+        for t in &toks {
+            if matches!(t.kind, LexKind::Str | LexKind::RawStr)
+                && t.text.contains(needle.as_str())
+                && !in_test_region(&tests, t.line)
+            {
                 raw.push(Violation {
                     file: rel.to_string(),
-                    line: *line,
+                    line: t.line,
                     rule: NONCANONICAL_JSON.to_string(),
                     message: "string literal carries a hand-rolled JSON \
                               fragment — serialize through rtped_core::json \
@@ -715,6 +700,30 @@ mod tests {
         assert!(check_source("crates/core/src/x.rs", doc)
             .violations
             .is_empty());
+    }
+
+    #[test]
+    fn code_lines_with_trailing_comments_end_the_safety_block() {
+        for src in [
+            "pub fn f(p: *mut u8) {\n    // SAFETY: stale\n    let a = 1; // x\n    let b = 2; // y\n    unsafe { *p = a + b }\n}\n",
+            "pub fn f(p: *mut u8) {\n    // SAFETY: caller guarantees exclusivity.\n    g(); // note\n    unsafe { *p = 1 }\n}\n",
+            "fn f() { g(); /* SAFETY: x */ }\npub fn h(p: *mut u8) { unsafe { *p = 1 } }\n",
+        ] {
+            let out = check_source("crates/core/src/x.rs", src);
+            assert_eq!(out.violations.len(), 1, "{src:?}: {:?}", out.violations);
+            assert_eq!(out.violations[0].rule, UNSAFE_COMMENT);
+        }
+        // Attribute-only and comment-only lines still extend the block.
+        let src = "// SAFETY: the slot is initialised before first read.\n// (see `init`)\n#[allow(unused_unsafe)]\npub fn f(p: *mut u8) { unsafe { *p = 1 } }\n";
+        assert!(check_source("crates/core/src/x.rs", src)
+            .violations
+            .is_empty());
+    }
+
+    #[test]
+    fn test_regions_span_stacked_attributes_and_the_item() {
+        let src = "#[allow(dead_code)]\n#[cfg(test)]\n#[allow(unused)]\nmod tests {\n    fn g() {}\n}\n#[cfg(not(test))]\nfn h() {}\n#[cfg(test)]\nuse std::fmt;\n";
+        assert_eq!(test_region_lines(&lex(src).toks), [(2, 6), (9, 10)]);
     }
 
     #[test]

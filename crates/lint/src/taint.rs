@@ -255,12 +255,11 @@ fn reaches_source(graph: &ModuleGraph, start: &str, sources: &BTreeMap<String, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
 
     fn lex_map(files: &[(&str, &str)]) -> BTreeMap<String, Vec<LexToken>> {
         files
             .iter()
-            .map(|(rel, src)| (rel.to_string(), crate::lexer::lex(src, &scan(src))))
+            .map(|(rel, src)| (rel.to_string(), crate::lexer::lex(src).toks))
             .collect()
     }
 

@@ -1,35 +1,97 @@
-//! Property tests for the token lexer: it must be total (arbitrary and
+//! Property tests for the lexer: it must be total (arbitrary and
 //! truncated printable-ASCII input lexes without panicking, with sane
-//! spans) and must classify the tricky vocabulary exactly — raw strings
-//! as single tokens, maximal-munch `<<`/`>>` (nested generics included:
-//! the *rule* layer disambiguates, the lexer munches), and lifetimes vs
-//! char literals.
+//! spans, and unterminated literals and comments run to end of input) and
+//! must classify the tricky vocabulary exactly — raw strings as single
+//! tokens, `//` inside string literals and quotes inside comments,
+//! nested block comments as one comment, maximal-munch `<<`/`>>` (nested
+//! generics included: the *rule* layer disambiguates, the lexer munches),
+//! and lifetimes vs char literals.
 
 use rtped_core::check::{ascii_string, choice, vec_of};
 use rtped_lint::lexer::{lex, LexKind, LexToken};
-use rtped_lint::scan::scan;
-
-fn lex_src(src: &str) -> Vec<LexToken> {
-    lex(src, &scan(src))
-}
 
 fn kinds_texts(src: &str) -> Vec<(LexKind, String)> {
-    lex_src(src).into_iter().map(|t| (t.kind, t.text)).collect()
+    lex(src)
+        .toks
+        .into_iter()
+        .map(|t| (t.kind, t.text))
+        .collect()
 }
 
-/// Asserts the stream's structural invariants: spans in bounds, strictly
-/// ordered, non-empty, matching their source text, lines non-decreasing.
+/// Code tokens and comment trivia merged in source order.
+fn stream(src: &str) -> Vec<LexToken> {
+    let lexed = lex(src);
+    let mut all = lexed.toks;
+    all.extend(lexed.trivia);
+    all.sort_by_key(|t| t.start);
+    all
+}
+
+/// Asserts the stream's structural invariants: tokens and trivia are in
+/// bounds, non-empty, strictly ordered and non-overlapping, match their
+/// source text, never go back a line, and leave only ASCII whitespace
+/// uncovered.
 fn assert_stream(src: &str, toks: &[LexToken]) {
     let mut pos = 0usize;
     let mut line = 1usize;
     for t in toks {
         assert!(t.start >= pos, "overlapping token {t:?} in {src:?}");
+        assert!(
+            src[pos..t.start].bytes().all(|b| b.is_ascii_whitespace()),
+            "uncovered non-whitespace before {t:?} in {src:?}"
+        );
         assert!(t.end > t.start, "empty token {t:?} in {src:?}");
         assert!(t.end <= src.len(), "span out of bounds {t:?} in {src:?}");
         assert_eq!(&src[t.start..t.end], t.text, "span/text mismatch {t:?}");
         assert!(t.line >= line, "line regressed {t:?} in {src:?}");
         pos = t.end;
         line = t.line;
+    }
+    assert!(
+        src[pos..].bytes().all(|b| b.is_ascii_whitespace()),
+        "uncovered non-whitespace tail in {src:?}"
+    );
+}
+
+/// Self-delimiting source segments. `Some(kind)`: the whole segment is
+/// exactly one token (or comment) of that kind. `None`: plain code, which
+/// lexes to identifiers, lifetimes, numbers and punctuation only.
+const SEGMENTS: &[(&str, Option<LexKind>)] = &[
+    ("let x = 1", None),
+    ("fn f<'a>(v: &'a u8) -> u8 { *v }", None),
+    ("let y = 1.0e3 + 0x2f", None),
+    (
+        "// slashes \" and 'quotes' inside a line comment",
+        Some(LexKind::Comment),
+    ),
+    ("/* block with \" quote */", Some(LexKind::Comment)),
+    (
+        "/* outer /* nested */ still outer */",
+        Some(LexKind::Comment),
+    ),
+    (r#""a string with // inside""#, Some(LexKind::Str)),
+    (r#""escaped \" quote""#, Some(LexKind::Str)),
+    (r#""/* not a comment */""#, Some(LexKind::Str)),
+    (r#"b"byte string""#, Some(LexKind::Str)),
+    ("\"two\nlines\"", Some(LexKind::Str)),
+    (r##"r"raw string""##, Some(LexKind::RawStr)),
+    (r###"r#"raw with " quote"#"###, Some(LexKind::RawStr)),
+    (r####"br##"raw with "# inside"##"####, Some(LexKind::RawStr)),
+    ("r#\"raw\nacross lines\"#", Some(LexKind::RawStr)),
+    ("'c'", Some(LexKind::Char)),
+    (r"'\''", Some(LexKind::Char)),
+    (r"'\n'", Some(LexKind::Char)),
+    ("b'x'", Some(LexKind::Char)),
+    (r#"b'"'"#, Some(LexKind::Char)),
+];
+
+/// Length of a literal's or comment's opening delimiter: a cut that keeps
+/// the opener but not the closer must leave a construct running to EOF.
+fn opener_len(text: &str, kind: &LexKind) -> Option<usize> {
+    match kind {
+        LexKind::Str | LexKind::RawStr => text.find('"').map(|q| q + 1),
+        LexKind::Comment => Some(2),
+        _ => None,
     }
 }
 
@@ -116,6 +178,17 @@ fn case(i: usize) -> (&'static str, Vec<(LexKind, &'static str)>) {
             "1u64 + 2.5f32",
             vec![(Int, "1u64"), (Punct, "+"), (Float, "2.5f32")],
         ),
+        // A byte literal holding a double quote is one token, and the
+        // quote opens no string.
+        9 => (
+            r#"let q = b'"'"#,
+            vec![
+                (Ident, "let"),
+                (Ident, "q"),
+                (Punct, "="),
+                (Char, r#"b'"'"#),
+            ],
+        ),
         _ => (
             "std::env::var",
             vec![
@@ -129,7 +202,7 @@ fn case(i: usize) -> (&'static str, Vec<(LexKind, &'static str)>) {
     }
 }
 
-const CASES: usize = 10;
+const CASES: usize = 11;
 
 rtped_core::check! {
     #![cases = 192, seed = 0x7E4A]
@@ -146,8 +219,74 @@ rtped_core::check! {
             expected.extend(toks.into_iter().map(|(k, t)| (k, t.to_string())));
             expected.push((LexKind::Punct, ";".to_string()));
         }
-        assert_stream(&src, &lex_src(&src));
+        assert_stream(&src, &stream(&src));
         rtped_core::check_assert_eq!(kinds_texts(&src), expected, "{src:?}");
+    }
+
+    fn curated_segments_classify_exactly(
+        segs in vec_of(choice(SEGMENTS.to_vec()), 1..10)
+    ) {
+        let mut src = String::new();
+        let mut spans = Vec::new();
+        for (text, kind) in &segs {
+            src.push_str("\n;\n");
+            spans.push((src.len()..src.len() + text.len(), kind.clone()));
+            src.push_str(text);
+        }
+        src.push_str("\n;\n");
+        let all = stream(&src);
+        assert_stream(&src, &all);
+        for (span, kind) in spans {
+            let inside: Vec<&LexToken> = all
+                .iter()
+                .filter(|t| span.contains(&t.start))
+                .collect();
+            match kind {
+                Some(kind) => {
+                    rtped_core::check_assert_eq!(inside.len(), 1, "{span:?} of {src:?}");
+                    rtped_core::check_assert_eq!(&inside[0].kind, &kind, "{src:?}");
+                    rtped_core::check_assert_eq!(inside[0].end, span.end, "{src:?}");
+                }
+                None => rtped_core::check_assert!(
+                    inside.iter().all(|t| matches!(
+                        t.kind,
+                        LexKind::Ident | LexKind::Lifetime | LexKind::Int | LexKind::Float
+                            | LexKind::Punct
+                    )),
+                    "{span:?} of {src:?}"
+                ),
+            }
+        }
+    }
+
+    fn truncated_segments_lex_totally_and_run_to_eof(
+        segs in vec_of(choice(SEGMENTS.to_vec()), 1..10),
+        cut_pct in 0..=100usize
+    ) {
+        let mut src = String::new();
+        let mut open_at_cut = None;
+        for (text, _) in &segs {
+            src.push_str(text);
+            src.push_str("\n;\n");
+        }
+        // All segments are ASCII, so any byte index is a char boundary;
+        // cutting mid-literal must still yield a well-formed stream.
+        let cut = src.len() * cut_pct / 100;
+        let mut off = 0;
+        for (text, kind) in &segs {
+            let opener = kind.as_ref().and_then(|k| opener_len(text, k));
+            if opener.is_some_and(|o| off + o <= cut && cut < off + text.len()) {
+                open_at_cut = kind.clone();
+            }
+            off += text.len() + 3;
+        }
+        let truncated = &src[..cut];
+        let all = stream(truncated);
+        assert_stream(truncated, &all);
+        if let Some(kind) = open_at_cut {
+            let last = all.last().map(|t| (t.kind.clone(), t.end));
+            rtped_core::check_assert_eq!(last, Some((kind, cut)), "{truncated:?}");
+        }
     }
 
     fn truncated_snippets_lex_totally(
@@ -159,16 +298,14 @@ rtped_core::check! {
             src.push_str(case(i).0);
             src.push_str("\n;\n");
         }
-        // All snippets are ASCII, so any byte index is a char boundary;
-        // cutting mid-literal must still yield a well-formed stream.
         let cut = src.len() * cut_pct / 100;
         let truncated = &src[..cut];
-        assert_stream(truncated, &lex_src(truncated));
+        assert_stream(truncated, &stream(truncated));
     }
 
     fn arbitrary_ascii_never_breaks_the_lexer(
         s in ascii_string(0..120)
     ) {
-        assert_stream(&s, &lex_src(&s));
+        assert_stream(&s, &stream(&s));
     }
 }

@@ -113,6 +113,16 @@ fn good_corpus_lints_clean_with_one_justified_suppression() {
     );
 }
 
+/// The bad corpus's full canonical report — messages, section layout and
+/// totals, not just `file:line:rule` — pinned byte for byte against the
+/// committed `rtped-lint crates/lint/tests/fixtures/bad` stdout.
+#[test]
+fn bad_corpus_report_matches_the_golden_byte_for_byte() {
+    let out = run_workspace(&fixture("bad")).expect("bad corpus readable");
+    let golden = std::fs::read_to_string(fixture("bad.report.json")).expect("golden readable");
+    assert_eq!(format!("{}\n", out.to_json()), golden);
+}
+
 #[test]
 fn json_report_is_canonical_and_complete() {
     let out = run_workspace(&fixture("bad")).expect("bad corpus readable");
