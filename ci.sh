@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "== cargo clippy --offline --all-targets -- -D warnings =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+echo "== cargo doc (rustdoc warnings are errors: stale intra-doc links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== rtped-lint (token/use-graph analyzer + suppression ratchet vs LINT_BASELINE.json) =="
 cargo build --release --offline -p rtped-lint
 lint_a=$(mktemp)

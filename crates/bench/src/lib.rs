@@ -1,5 +1,5 @@
 //! Shared experiment harness for the table/figure regeneration binaries
-//! and the Criterion benches.
+//! and the timing harnesses.
 //!
 //! The paper's verification protocol (§4, Fig. 3) is:
 //!

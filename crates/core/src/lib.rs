@@ -12,16 +12,17 @@
 //! - [`json`]: a minimal JSON value type with strict parsing, canonical
 //!   serialization, and [`ToJson`]/[`FromJson`] conversions — replaces
 //!   `serde`/`serde_json`.
-//! - [`check`]: a seeded property-testing harness with shrink-on-failure
-//!   via the [`check!`] macro — replaces `proptest`.
+//! - [`check`](mod@check): a seeded property-testing harness with
+//!   shrink-on-failure via the [`check!`](macro@check) macro — replaces
+//!   `proptest`.
 //! - [`timer`]: a wall-clock micro-benchmark harness for the
-//!   `harness = false` bench binaries — replaces `criterion`.
+//!   `bench_detect` harness binary — replaces `criterion`.
 //! - [`par`]: scoped-thread data-parallel primitives (order-preserving
 //!   `map`, chunked `map_chunks`, in-place `for_each_band`) with an
 //!   `RTPED_THREADS` override — replaces `rayon`.
 //! - [`retry`]: bounded retry-with-backoff ([`retry::RetryPolicy`]) for
 //!   transient IO failures.
-//! - [`env`]: typed, warn-once environment-variable parsing shared by
+//! - [`env`](mod@env): typed, warn-once environment-variable parsing shared by
 //!   every `RTPED_*` knob (a malformed value is rejected on stderr, never
 //!   silently ignored).
 //! - [`wire`]: length-prefixed message framing for the serving protocol,

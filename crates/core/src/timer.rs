@@ -1,8 +1,7 @@
 //! A wall-clock micro-benchmark harness.
 //!
-//! This replaces `criterion` for the `crates/bench` benches: each bench
-//! target is a plain binary (`harness = false`) whose `main` builds a
-//! [`Bench`] group and calls [`Bench::run`] per case. The harness warms
+//! This replaces `criterion` for the `bench_detect` harness binary: it
+//! builds a [`Bench`] group and calls [`Bench::run`] per case. The harness warms
 //! the case up, sizes batches so timer overhead is amortized, takes many
 //! batch samples, and prints min/median/mean — the median is the headline
 //! number because it is robust to scheduler noise.

@@ -29,12 +29,6 @@ pub const PAPER_TRAIN_POSITIVES: usize = 2416;
 /// INRIA-style training negatives (sampled from negative images).
 pub const PAPER_TRAIN_NEGATIVES: usize = 12180;
 
-/// The scale ladder of §4: 1.1 to 2.0 in steps of 0.1.
-#[must_use]
-pub fn paper_scales() -> Vec<f64> {
-    (1..=10).map(|i| 1.0 + f64::from(i) * 0.1).collect()
-}
-
 /// A complete train/test dataset of pedestrian and background windows.
 ///
 /// # Example
@@ -362,14 +356,6 @@ mod tests {
             let up = ds.upsampled_test_positives(scale);
             assert_eq!(up[0].dimensions(), (w, h), "scale {scale}");
         }
-    }
-
-    #[test]
-    fn paper_scales_ladder() {
-        let scales = paper_scales();
-        assert_eq!(scales.len(), 10);
-        assert!((scales[0] - 1.1).abs() < 1e-12);
-        assert!((scales[9] - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -202,19 +202,6 @@ impl SceneBuilder {
     }
 }
 
-/// Convenience: an HDTV (1920×1080) street scene with `pedestrians` figures
-/// at mixed scales — the workload of the paper's throughput claim.
-#[must_use]
-pub fn hdtv_scene(seed: u64, pedestrians: usize) -> Scene {
-    let mut builder = SceneBuilder::new(1920, 1080).seed(seed);
-    let mut rng = SeedRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
-    for _ in 0..pedestrians {
-        let scale = rng.gen_range(1.0..2.0);
-        builder = builder.pedestrian_window(64, 128, scale);
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,13 +285,5 @@ mod tests {
             .build();
         assert!(soft.frame.variance() < sharp.frame.variance());
         assert_eq!(soft.ground_truth, sharp.ground_truth);
-    }
-
-    #[test]
-    fn hdtv_scene_dimensions() {
-        let scene = hdtv_scene(1, 3);
-        assert_eq!(scene.frame.dimensions(), (1920, 1080));
-        assert!(scene.ground_truth.len() <= 3);
-        assert!(!scene.ground_truth.is_empty());
     }
 }

@@ -114,28 +114,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as RFC-4180-style CSV (header row + data rows).
-    /// Cells containing commas, quotes, or newlines are quoted with `"`
-    /// doubling; the title is not emitted.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        fn escape(cell: &str) -> String {
-            if cell.contains([',', '"', '\n']) {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
-        let mut out = String::new();
-        let header: Vec<String> = self.headers.iter().map(|h| escape(h)).collect();
-        let _ = writeln!(out, "{}", header.join(","));
-        for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|c| escape(c)).collect();
-            let _ = writeln!(out, "{}", cells.join(","));
-        }
-        out
-    }
 }
 
 /// Formats a ratio as a percentage with 4 decimals, the precision of the
@@ -190,21 +168,6 @@ mod tests {
     #[should_panic(expected = "table needs at least one column")]
     fn empty_header_rejected() {
         let _ = Table::new("T", &[]);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut t = Table::new("T", &["scale", "accuracy"]);
-        t.row(&["1.1", "97.81"]);
-        t.row(&["1.2", "97.58"]);
-        assert_eq!(t.to_csv(), "scale,accuracy\n1.1,97.81\n1.2,97.58\n");
-    }
-
-    #[test]
-    fn csv_escapes_special_cells() {
-        let mut t = Table::new("T", &["name", "note"]);
-        t.row(&["a,b", "say \"hi\""]);
-        assert_eq!(t.to_csv(), "name,note\n\"a,b\",\"say \"\"hi\"\"\"\n");
     }
 
     #[test]

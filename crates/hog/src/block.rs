@@ -76,42 +76,6 @@ impl NormKind {
     }
 }
 
-/// Gathers the `block_cells x block_cells` cell histograms with block origin
-/// `(bx, by)` from a cell-major histogram buffer and returns the normalized
-/// block feature vector.
-///
-/// `histograms` is indexed as `histograms[(cy * cells_x + cx) * bins ..]`.
-///
-/// # Panics
-///
-/// Panics if the block extends past the grid.
-#[must_use]
-#[allow(clippy::too_many_arguments)] // grid geometry + block origin + style
-pub fn block_feature(
-    histograms: &[f32],
-    cells_x: usize,
-    cells_y: usize,
-    bins: usize,
-    bx: usize,
-    by: usize,
-    block_cells: usize,
-    norm: NormKind,
-) -> Vec<f32> {
-    assert!(
-        bx + block_cells <= cells_x && by + block_cells <= cells_y,
-        "block out of bounds"
-    );
-    let mut v = Vec::with_capacity(block_cells * block_cells * bins);
-    for dy in 0..block_cells {
-        for dx in 0..block_cells {
-            let base = ((by + dy) * cells_x + (bx + dx)) * bins;
-            v.extend_from_slice(&histograms[base..base + bins]);
-        }
-    }
-    norm.normalize(&mut v);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,32 +175,5 @@ mod tests {
             }
             other => panic!("unexpected default {other:?}"),
         }
-    }
-
-    #[test]
-    fn block_feature_gathers_four_cells() {
-        // 3x3 grid of 2-bin histograms; block at (1,1) covers cells
-        // (1,1),(2,1),(1,2),(2,2).
-        let bins = 2;
-        let mut hist = vec![0.0f32; 9 * bins];
-        for (i, h) in hist.chunks_exact_mut(bins).enumerate() {
-            h[0] = i as f32;
-            h[1] = 10.0 + i as f32;
-        }
-        let block = block_feature(&hist, 3, 3, bins, 1, 1, 2, NormKind::L2 { epsilon: 0.0 });
-        assert_eq!(block.len(), 8);
-        // Unnormalized gathered order: cells 4, 5, 7, 8.
-        let raw: Vec<f32> = vec![4.0, 14.0, 5.0, 15.0, 7.0, 17.0, 8.0, 18.0];
-        let norm = l2(&raw);
-        for (b, r) in block.iter().zip(&raw) {
-            assert!((b - r / norm).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "block out of bounds")]
-    fn block_feature_checks_bounds() {
-        let hist = vec![0.0f32; 9 * 2];
-        let _ = block_feature(&hist, 3, 3, 2, 2, 2, 2, NormKind::default());
     }
 }

@@ -59,30 +59,6 @@ pub(crate) fn grad_lut(signed: bool) -> &'static GradLut {
     }
 }
 
-/// Gamma (power-law) intensity normalization applied ahead of gradient
-/// computation — Dalal & Triggs' first pipeline stage. `gamma = 0.5`
-/// (square-root compression) was their best setting; `1.0` is identity.
-///
-/// # Panics
-///
-/// Panics if `gamma` is not finite and positive.
-#[must_use]
-pub fn gamma_correct(img: &GrayImage, gamma: f32) -> GrayImage {
-    assert!(gamma.is_finite() && gamma > 0.0, "gamma must be positive");
-    if (gamma - 1.0).abs() < 1e-9 {
-        return img.clone();
-    }
-    // 256-entry LUT, exactly what a hardware implementation would hold.
-    let mut lut = [0u8; 256];
-    for (i, out) in lut.iter_mut().enumerate() {
-        let normalized = (i as f32 / 255.0).powf(gamma);
-        *out = (normalized * 255.0).round().clamp(0.0, 255.0) as u8;
-    }
-    GrayImage::from_fn(img.width(), img.height(), |x, y| {
-        lut[usize::from(img.get(x, y))]
-    })
-}
-
 /// Per-pixel gradient magnitude and orientation for a whole image.
 ///
 /// Gradients use centered differences `fx = I(x+1,y) - I(x-1,y)` and
@@ -118,7 +94,7 @@ impl GradientField {
     /// `[0, π)` (standard for pedestrians), `true` keeps `[0, 2π)`.
     ///
     /// Internally this looks up magnitude/orientation in a precomputed
-    /// 511 × 511 table over the integer difference pair (see [`GradLut`]);
+    /// 511 × 511 table over the integer difference pair (see `GradLut`);
     /// results are bit-identical to evaluating `sqrt`/`atan2` per pixel.
     #[must_use]
     pub fn compute(img: &GrayImage, signed: bool) -> Self {
@@ -336,43 +312,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gamma_identity_is_clone() {
-        let img = GrayImage::from_fn(8, 8, |x, y| (x * 31 + y) as u8);
-        assert_eq!(gamma_correct(&img, 1.0), img);
-    }
-
-    #[test]
-    fn gamma_half_is_square_root_compression() {
-        let img = GrayImage::from_fn(2, 1, |x, _| if x == 0 { 64 } else { 255 });
-        let out = gamma_correct(&img, 0.5);
-        // sqrt(64/255)*255 = 127.75 -> 128.
-        assert_eq!(out.get(0, 0), 128);
-        assert_eq!(out.get(1, 0), 255);
-    }
-
-    #[test]
-    fn gamma_preserves_extremes_and_monotonicity() {
-        let img = GrayImage::from_fn(256, 1, |x, _| x as u8);
-        for gamma in [0.4f32, 0.5, 2.0] {
-            let out = gamma_correct(&img, gamma);
-            assert_eq!(out.get(0, 0), 0);
-            assert_eq!(out.get(255, 0), 255);
-            for x in 1..256 {
-                assert!(
-                    out.get(x, 0) >= out.get(x - 1, 0),
-                    "gamma {gamma} not monotone"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "gamma must be positive")]
-    fn gamma_rejects_zero() {
-        let _ = gamma_correct(&GrayImage::new(2, 2), 0.0);
     }
 
     #[test]

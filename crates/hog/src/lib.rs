@@ -21,9 +21,7 @@
 //!    normalized within each of the four covering blocks (LU/RU/LB/RB) — so
 //!    a 64×128 window is 8×16 cells × 36 = 4608 features ("16×8 blocks ...
 //!    36 elements" in §5).
-//! 5. [`descriptor`]: the classic overlapping-block window descriptor
-//!    (7×15 blocks × 36 = 3780 for a 64×128 window) plus conversions.
-//! 6. [`pyramid`]: **the paper's contribution** — multi-scale detection by
+//! 5. [`pyramid`]: **the paper's contribution** — multi-scale detection by
 //!    down-sampling the *normalized feature map* ([`pyramid::FeaturePyramid`])
 //!    instead of the image ([`pyramid::ImagePyramid`]).
 //!
@@ -43,8 +41,6 @@
 
 pub mod block;
 pub mod cell;
-pub mod descriptor;
-pub mod fast;
 pub mod feature_map;
 pub mod gradient;
 pub mod grid;

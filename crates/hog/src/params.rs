@@ -110,36 +110,11 @@ impl HogParams {
         )
     }
 
-    /// Blocks per window along `(x, y)` for the overlapping-block layout.
-    #[must_use]
-    pub fn window_blocks(&self) -> (usize, usize) {
-        let (wc, hc) = self.window_cells();
-        (
-            (wc - self.block_cells) / self.block_stride_cells + 1,
-            (hc - self.block_cells) / self.block_stride_cells + 1,
-        )
-    }
-
-    /// Feature count of one block (cells² × bins): 36 for the canonical
-    /// configuration.
-    #[must_use]
-    pub fn block_features(&self) -> usize {
-        self.block_cells * self.block_cells * self.bins
-    }
-
     /// Feature count of one cell in the cell-major layout (4 covering
     /// blocks × bins): 36 for the canonical configuration.
     #[must_use]
     pub fn cell_features(&self) -> usize {
         4 * self.bins
-    }
-
-    /// Length of the classic overlapping-block window descriptor
-    /// (3780 for the canonical configuration).
-    #[must_use]
-    pub fn descriptor_len(&self) -> usize {
-        let (bx, by) = self.window_blocks();
-        bx * by * self.block_features()
     }
 
     /// Length of the cell-major window descriptor used by the hardware
@@ -331,11 +306,7 @@ mod tests {
         assert_eq!(p.bins(), 9);
         assert_eq!(p.window_size(), (64, 128));
         assert_eq!(p.window_cells(), (8, 16));
-        assert_eq!(p.window_blocks(), (7, 15));
-        assert_eq!(p.block_features(), 36);
         assert_eq!(p.cell_features(), 36);
-        // Classic Dalal descriptor: 105 blocks x 36 = 3780.
-        assert_eq!(p.descriptor_len(), 3780);
         // Hardware cell-major descriptor: 8x16 cells x 36 = 4608 ("16x8
         // blocks ... 36 elements" in paper §5).
         assert_eq!(p.cell_descriptor_len(), 4608);
@@ -393,8 +364,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(p.window_cells(), (4, 4));
-        assert_eq!(p.window_blocks(), (3, 3));
-        assert_eq!(p.descriptor_len(), 3 * 3 * 36);
     }
 
     #[test]

@@ -124,56 +124,6 @@ impl FeaturePyramid {
         Self::from_base(&base, scales, params)
     }
 
-    /// Builds the pyramid *cascaded*, exactly like the hardware of
-    /// Fig. 6: level `i` is resampled from level `i-1`'s features, not
-    /// from the base ("a series of pipelined down-scaling modules which
-    /// resize the HOG feature of prior scale"). Cascading lets each
-    /// hardware scaler be small, at the cost of compounding
-    /// interpolation error at deep levels — the `pyramid_cascade` test
-    /// and the ablation bench quantify the difference against
-    /// [`FeaturePyramid::from_base`].
-    ///
-    /// `scales` must be sorted ascending with the first equal to 1.0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales` is empty, unsorted, or does not start at 1.0.
-    #[must_use]
-    pub fn build_cascaded(img: &GrayImage, scales: &[f64], params: &HogParams) -> Self {
-        assert!(!scales.is_empty(), "need at least one scale");
-        assert!(
-            (scales[0] - 1.0).abs() < 1e-9,
-            "cascaded pyramid must start at scale 1.0"
-        );
-        assert!(
-            scales.windows(2).all(|w| w[1] > w[0]),
-            "cascaded scales must be strictly ascending"
-        );
-        let base = FeatureMap::extract(img, params);
-        let (wc, hc) = params.window_cells();
-        let (bx, by) = base.cells();
-        let mut levels: Vec<PyramidLevel> = Vec::with_capacity(scales.len());
-        let mut prev = base.clone();
-        let mut prev_scale = 1.0f64;
-        for &scale in scales {
-            let nx = ((bx as f64 / scale).round() as usize).max(1);
-            let ny = ((by as f64 / scale).round() as usize).max(1);
-            if nx < wc || ny < hc {
-                break; // deeper levels are even smaller
-            }
-            let features = if (scale - prev_scale).abs() < 1e-9 {
-                prev.clone()
-            } else {
-                // Resample the *previous* level to this level's grid.
-                prev.scaled_to(nx, ny)
-            };
-            prev = features.clone();
-            prev_scale = scale;
-            levels.push(PyramidLevel { scale, features });
-        }
-        Self { levels }
-    }
-
     /// Builds the pyramid from an existing base feature map (exposed so
     /// the hardware model and detectors can share the extraction).
     ///
@@ -313,56 +263,6 @@ mod tests {
         for (level, &expected) in fp.levels().iter().zip(&scales) {
             assert!((level.scale - expected).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn cascaded_pyramid_matches_direct_at_shallow_levels() {
-        let p = HogParams::pedestrian();
-        let img = textured(256, 512);
-        let scales = [1.0, 1.25, 1.5625];
-        let direct = FeaturePyramid::build(&img, &scales, &p);
-        let cascaded = FeaturePyramid::build_cascaded(&img, &scales, &p);
-        assert_eq!(direct.levels().len(), cascaded.levels().len());
-        // Level 0 identical; level 1 identical (one resample either way).
-        assert_eq!(direct.levels()[0].features, cascaded.levels()[0].features);
-        assert_eq!(direct.levels()[1].features, cascaded.levels()[1].features);
-        // Level 2: cascade resamples twice -> close but not identical.
-        let a = direct.levels()[2].features.as_raw();
-        let b = cascaded.levels()[2].features.as_raw();
-        let mad: f32 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f32>() / a.len() as f32;
-        let mean: f32 = a.iter().map(|v| v.abs()).sum::<f32>() / a.len() as f32;
-        assert!(mad > 0.0, "cascade should differ at depth 2");
-        assert!(
-            mad < 0.3 * mean,
-            "cascade error too large: mad {mad} vs mean {mean}"
-        );
-    }
-
-    #[test]
-    fn cascaded_pyramid_grid_sizes_match_direct() {
-        let p = HogParams::pedestrian();
-        let img = textured(320, 512);
-        let scales = [1.0, 1.3, 1.69, 2.197];
-        let direct = FeaturePyramid::build(&img, &scales, &p);
-        let cascaded = FeaturePyramid::build_cascaded(&img, &scales, &p);
-        for (d, c) in direct.levels().iter().zip(cascaded.levels()) {
-            assert_eq!(d.features.cells(), c.features.cells());
-            assert!((d.scale - c.scale).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must start at scale 1.0")]
-    fn cascaded_requires_unit_first_scale() {
-        let p = HogParams::pedestrian();
-        let _ = FeaturePyramid::build_cascaded(&textured(128, 256), &[1.5], &p);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn cascaded_requires_sorted_scales() {
-        let p = HogParams::pedestrian();
-        let _ = FeaturePyramid::build_cascaded(&textured(128, 256), &[1.0, 1.5, 1.2], &p);
     }
 
     #[test]

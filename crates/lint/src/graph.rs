@@ -3,12 +3,18 @@
 //! Nodes are workspace-relative file paths (exactly the paths
 //! [`crate::walk`] yields); a directed edge `A -> B` means "code in `A`
 //! names module `B`" — via a `use` declaration, a `mod child;`
-//! declaration, or a fully-qualified path head (`rtped_core::env::typed`).
+//! declaration, or a qualified path head in an expression
+//! (`rtped_core::env::typed`, `crate::arith::check`). `mod` edges are
+//! tagged as declarations ([`Edge::decl`]); every other edge is a use.
 //! Resolution is deliberately file-granular and conservative:
 //!
 //! - `use rtped_core::json::Json` resolves to `crates/core/src/json.rs`
 //!   when that file exists, else to the crate root `lib.rs`;
 //! - `use crate::lexer::...` and `use super::...` resolve within the crate;
+//! - a bare head naming a module the file declares (`graph::build`,
+//!   `pub use feature_map::FeatureMap`) resolves to that child;
+//! - a crate root's `pub use rtped_hw as hw;` makes `rtped::hw::m`
+//!   resolve as `rtped_hw::m`;
 //! - `mod child;` resolves to the child file (`child.rs` or
 //!   `child/mod.rs`), and inline `mod child { ... }` adds no edge;
 //! - paths that resolve to nothing in the walked file set (std,
@@ -21,15 +27,18 @@
 //! corpora that mirror the workspace layout without manifests.
 //!
 //! The graph is the substrate for the cross-cutting rules: determinism
-//! taint propagates along reversed edges (users of a tainted module are
-//! tainted), and "reaches canonical-report code" is plain forward
-//! reachability. Both only need file-level precision, which is why this
-//! walker resolves paths two segments deep and no further.
+//! taint propagates along reversed edges of both kinds (users of a
+//! tainted module are tainted), "reaches canonical-report code" is plain
+//! forward reachability, and `unreached-module` ([`check_unreached`]) is
+//! forward reachability from the roots over use edges only. All of them
+//! only need file-level precision, which is why resolution stops at the
+//! module file.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::lexer::{matching, LexKind, LexToken};
+use crate::rules::{Violation, UNREACHED_MODULE};
 
 /// One resolved use/mod edge.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -38,13 +47,16 @@ pub struct Edge {
     pub to: String,
     /// 1-based line of the `use`/`mod` declaration that created it.
     pub line: usize,
+    /// A `mod child;` declaration rather than a use: module reachability
+    /// skips these, taint follows both kinds.
+    pub decl: bool,
 }
 
 /// The module graph over one walked file set.
 #[derive(Debug, Clone, Default)]
 pub struct ModuleGraph {
-    /// Outgoing edges per file (sorted, deduplicated by target keeping the
-    /// first declaration line).
+    /// Outgoing edges per file (sorted, deduplicated by target and kind
+    /// keeping the first line).
     pub edges: BTreeMap<String, Vec<Edge>>,
     /// Crate-name (identifier form) → crate-root source dir, e.g.
     /// `rtped_core` → `crates/core/src`.
@@ -52,19 +64,24 @@ pub struct ModuleGraph {
 }
 
 impl ModuleGraph {
-    /// Files reachable from `start` following edges forward, including
-    /// `start` itself.
+    /// Files reachable from `starts` following edges forward, including
+    /// the starts themselves; `mod` declaration edges are followed only
+    /// when `decls` is set.
     #[must_use]
-    pub fn reachable_from(&self, start: &str) -> BTreeSet<String> {
+    pub fn reachable_from<'a>(
+        &self,
+        starts: impl IntoIterator<Item = &'a str>,
+        decls: bool,
+    ) -> BTreeSet<String> {
         let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut stack = vec![start.to_string()];
+        let mut stack: Vec<String> = starts.into_iter().map(str::to_string).collect();
         while let Some(file) = stack.pop() {
             if !seen.insert(file.clone()) {
                 continue;
             }
             if let Some(edges) = self.edges.get(&file) {
                 for e in edges {
-                    if !seen.contains(&e.to) {
+                    if (decls || !e.decl) && !seen.contains(&e.to) {
                         stack.push(e.to.clone());
                     }
                 }
@@ -84,6 +101,46 @@ impl ModuleGraph {
         self.edges
             .get(from)
             .and_then(|edges| edges.iter().find(|e| targets.contains(&e.to)))
+    }
+}
+
+/// Whether `rel` is an entry point module reachability starts from: a
+/// binary (`src/bin/**`, `src/main.rs`), an example or an integration
+/// test, at workspace or crate level.
+fn is_root(rel: &str) -> bool {
+    let path = format!("/{rel}");
+    let parent = rel.rsplit('/').nth(1);
+    path.contains("/src/bin/")
+        || path.ends_with("/src/main.rs")
+        || matches!(parent, Some("examples" | "tests"))
+}
+
+/// `unreached-module`: every `mod m;` whose file no root reaches over use
+/// edges, anchored at the declaration. Declarations themselves reach
+/// nothing, so a module only its parent declares is dead code.
+pub fn check_unreached(graph: &ModuleGraph, out: &mut Vec<Violation>) {
+    let roots = graph
+        .edges
+        .keys()
+        .map(String::as_str)
+        .filter(|f| is_root(f));
+    let reached = graph.reachable_from(roots, false);
+    for (rel, edges) in &graph.edges {
+        for e in edges {
+            if e.decl && !reached.contains(&e.to) {
+                out.push(Violation {
+                    file: rel.clone(),
+                    line: e.line,
+                    rule: UNREACHED_MODULE.to_string(),
+                    message: format!(
+                        "module `{}` is declared but no binary, example or \
+                         integration test reaches it over `use` edges — \
+                         delete it, or use it from one",
+                        e.to
+                    ),
+                });
+            }
+        }
     }
 }
 
@@ -148,13 +205,40 @@ pub fn build(
     files: &BTreeMap<String, Vec<LexToken>>,
 ) -> ModuleGraph {
     let file_set: BTreeSet<&str> = files.keys().map(String::as_str).collect();
+    let aliases = crate_aliases(crate_table, files, &file_set);
     let mut graph = ModuleGraph {
         crate_roots: crate_table.clone(),
         ..ModuleGraph::default()
     };
     for (rel, toks) in files {
+        let mut r = Resolver {
+            rel,
+            crate_table,
+            files: &file_set,
+            aliases: &aliases,
+            children: BTreeMap::new(),
+        };
         let mut edges: Vec<Edge> = Vec::new();
-        let mut seen: BTreeSet<String> = BTreeSet::new();
+        // `mod child;` declares a file edge; `mod child {` is inline and
+        // adds none. Declarations are collected first so that bare
+        // `child::...` paths anywhere in the file resolve.
+        for w in toks.windows(3) {
+            let decl = w[0].is_ident("mod")
+                && !w[0].in_attr
+                && w[1].kind == LexKind::Ident
+                && w[2].is_punct(";");
+            if let Some(to) = decl
+                .then(|| resolve_child_module(rel, &w[1].text, &file_set))
+                .flatten()
+            {
+                r.children.insert(w[1].text.clone(), to.clone());
+                edges.push(Edge {
+                    to,
+                    line: w[0].line,
+                    decl: true,
+                });
+            }
+        }
         let mut i = 0;
         while i < toks.len() {
             let t = &toks[i];
@@ -162,188 +246,183 @@ pub fn build(
                 i += 1;
                 continue;
             }
-            match t.text.as_str() {
-                "use" => {
-                    let (targets, next) = resolve_use(rel, toks, i + 1, crate_table, &file_set);
-                    for to in targets {
-                        if seen.insert(to.clone()) {
-                            edges.push(Edge { to, line: t.line });
-                        }
-                    }
-                    i = next;
+            let mut targets = Vec::new();
+            if t.is_ident("use") {
+                i = r.resolve_use(toks, i + 1, &mut targets);
+            } else {
+                // Qualified path head in expression position:
+                // `rtped_core::env::typed(...)`, `crate::arith::check(...)`,
+                // `graph::build(...)`.
+                let is_head = matches!(t.text.as_str(), "crate" | "self" | "super")
+                    || crate_table.contains_key(&t.text)
+                    || r.children.contains_key(&t.text);
+                let segs: Vec<String> = std::iter::once(t.text.clone())
+                    .chain(
+                        toks[i + 1..]
+                            .chunks(2)
+                            .take_while(|c| {
+                                c.len() == 2 && c[0].is_punct("::") && c[1].kind == LexKind::Ident
+                            })
+                            .take(2)
+                            .map(|c| c[1].text.clone()),
+                    )
+                    .collect();
+                if is_head && segs.len() > 1 && !(i > 0 && toks[i - 1].is_punct("::")) {
+                    targets.extend(r.resolve(&segs));
                 }
-                "mod" => {
-                    // `mod child;` declares a file edge; `mod child {`
-                    // is inline and adds none.
-                    let name = toks.get(i + 1).filter(|n| n.kind == LexKind::Ident);
-                    let semi = toks.get(i + 2).map(|p| p.is_punct(";")).unwrap_or(false);
-                    if let (Some(name), true) = (name, semi) {
-                        if let Some(to) = resolve_child_module(rel, &name.text, &file_set) {
-                            if seen.insert(to.clone()) {
-                                edges.push(Edge { to, line: t.line });
-                            }
-                        }
-                    }
-                    i += 1;
-                }
-                _ => {
-                    // Fully-qualified path head in expression position:
-                    // `rtped_core::env::typed(...)`.
-                    if crate_table.contains_key(&t.text)
-                        && toks.get(i + 1).map(|p| p.is_punct("::")).unwrap_or(false)
-                    {
-                        let second = toks.get(i + 2).filter(|s| s.kind == LexKind::Ident);
-                        let to = resolve_crate_path(
-                            &t.text,
-                            second.map(|s| s.text.as_str()),
-                            crate_table,
-                            &file_set,
-                        );
-                        if let Some(to) = to {
-                            if seen.insert(to.clone()) {
-                                edges.push(Edge { to, line: t.line });
-                            }
-                        }
-                    }
-                    i += 1;
-                }
+                i += 1;
             }
+            edges.extend(targets.into_iter().map(|to| Edge {
+                to,
+                line: t.line,
+                decl: false,
+            }));
         }
+        // One edge per (target, kind), keeping the first line.
         edges.sort();
+        let mut seen = BTreeSet::new();
+        edges.retain(|e| seen.insert((e.to.clone(), e.decl)));
         graph.edges.insert(rel.clone(), edges);
     }
     graph
 }
 
-/// Resolves the path (or brace group of paths) after a `use` keyword.
-/// Returns the resolved targets and the token index one past the
-/// declaration's `;` (or wherever scanning stopped on malformed input).
-fn resolve_use(
-    rel: &str,
-    toks: &[LexToken],
-    start: usize,
+/// `(crate, alias) → aliased crate` for every `use other_crate as alias;`
+/// in a crate root: the facade's `pub use rtped_hw as hw;` makes
+/// `rtped::hw::m` mean `rtped_hw::m`.
+fn crate_aliases(
     crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-) -> (Vec<String>, usize) {
-    // Collect the declaration's tokens up to the terminating `;`, jumping
-    // over brace groups (an unclosed one runs to the end of the stream).
-    let mut end = start;
-    while end < toks.len() && !toks[end].is_punct(";") {
-        end = if toks[end].is_punct("{") {
-            matching(toks, end).map_or(toks.len(), |c| c + 1)
-        } else {
-            end + 1
-        };
-    }
-    let decl = &toks[start..end.min(toks.len())];
-    let mut targets = Vec::new();
-    let mut i = 0;
-    while i < decl.len() {
-        let next = use_tree(rel, decl, i, &[], crate_table, files, &mut targets);
-        i = next.max(i + 1);
-    }
-    targets.sort();
-    targets.dedup();
-    (targets, end + 1)
-}
-
-/// Recursively walks one use-tree starting at `i` with the path segments
-/// accumulated so far, resolving every leaf path (and group prefix)
-/// against the walked file set. Returns the index one past the subtree.
-fn use_tree(
-    rel: &str,
-    decl: &[LexToken],
-    mut i: usize,
-    prefix: &[String],
-    crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-    out: &mut Vec<String>,
-) -> usize {
-    let mut segs: Vec<String> = prefix.to_vec();
-    while i < decl.len() {
-        let t = &decl[i];
-        if t.is_punct(",") || t.is_punct("}") {
-            break; // end of this subtree; the group loop consumes it
-        }
-        if t.is_punct("{") {
-            // Group: each comma-separated child extends the current
-            // prefix (`use a::{b, c::d};`).
-            i += 1;
-            while i < decl.len() && !decl[i].is_punct("}") {
-                if decl[i].is_punct(",") {
-                    i += 1;
-                    continue;
-                }
-                let next = use_tree(rel, decl, i, &segs, crate_table, files, out);
-                i = next.max(i + 1);
-            }
-            resolve_segments(rel, &segs, crate_table, files, out);
-            return i + 1;
-        }
-        if t.is_ident("as") {
-            i += 2; // rename: `as alias`
+    files: &BTreeMap<String, Vec<LexToken>>,
+    file_set: &BTreeSet<&str>,
+) -> BTreeMap<(String, String), String> {
+    let mut out = BTreeMap::new();
+    for (krate, dir) in crate_table {
+        let Some(toks) = resolve_in_dir(dir, None, file_set).and_then(|root| files.get(&root))
+        else {
             continue;
+        };
+        for w in toks.windows(5) {
+            if w[0].is_ident("use")
+                && crate_table.contains_key(&w[1].text)
+                && w[2].is_ident("as")
+                && w[3].kind == LexKind::Ident
+                && w[4].is_punct(";")
+            {
+                out.insert((krate.clone(), w[3].text.clone()), w[1].text.clone());
+            }
         }
-        if t.kind == LexKind::Ident {
-            segs.push(t.text.clone());
-        }
-        i += 1;
     }
-    resolve_segments(rel, &segs, crate_table, files, out);
-    i
+    out
 }
 
-/// Resolves an accumulated segment path (first two segments decide the
-/// file) and records the target, if any.
-fn resolve_segments(
-    rel: &str,
-    segs: &[String],
-    crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-    out: &mut Vec<String>,
-) {
-    let Some(head) = segs.first() else { return };
-    let second = segs.get(1).map(String::as_str);
-    if let Some(to) = resolve_head(rel, head, second, crate_table, files) {
-        out.push(to);
-    }
+/// Path resolution context for one file.
+struct Resolver<'a> {
+    rel: &'a str,
+    crate_table: &'a BTreeMap<String, String>,
+    files: &'a BTreeSet<&'a str>,
+    aliases: &'a BTreeMap<(String, String), String>,
+    /// Modules this file declares with `mod name;`, name → file.
+    children: BTreeMap<String, String>,
 }
 
-/// Resolves one path head (`rtped_core`, `crate`, `super`, `self`) plus
-/// its optional second segment to a file in the walked set.
-fn resolve_head(
-    rel: &str,
-    head: &str,
-    second: Option<&str>,
-    crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-) -> Option<String> {
-    match head {
-        "crate" => {
-            let src_root = own_crate_root(rel)?;
-            resolve_in_dir(&src_root, second, files)
+impl Resolver<'_> {
+    /// Resolves the path (or brace group of paths) after a `use` keyword
+    /// into `out`. Returns the token index one past the declaration's `;`
+    /// (or wherever scanning stopped on malformed input).
+    fn resolve_use(&self, toks: &[LexToken], start: usize, out: &mut Vec<String>) -> usize {
+        // Collect the declaration's tokens up to the terminating `;`,
+        // jumping over brace groups (an unclosed one runs to the end of
+        // the stream).
+        let mut end = start;
+        while end < toks.len() && !toks[end].is_punct(";") {
+            end = if toks[end].is_punct("{") {
+                matching(toks, end).map_or(toks.len(), |c| c + 1)
+            } else {
+                end + 1
+            };
         }
-        "self" | "super" => {
-            // Sibling module of the current file's directory (for `super`
-            // in a child module this approximates to the same directory,
-            // which is file-exact for the flat module trees this
-            // workspace uses).
-            let dir = rel.rsplit_once('/').map(|(d, _)| d.to_string())?;
-            resolve_in_dir(&dir, second, files)
+        let decl = &toks[start..end.min(toks.len())];
+        let mut i = 0;
+        while i < decl.len() {
+            let next = self.use_tree(decl, i, &[], out);
+            i = next.max(i + 1);
         }
-        _ => resolve_crate_path(head, second, crate_table, files),
+        end + 1
     }
-}
 
-/// Resolves `crate_name::second` to a file.
-fn resolve_crate_path(
-    crate_name: &str,
-    second: Option<&str>,
-    crate_table: &BTreeMap<String, String>,
-    files: &BTreeSet<&str>,
-) -> Option<String> {
-    let src_root = crate_table.get(crate_name)?;
-    resolve_in_dir(src_root, second, files)
+    /// Recursively walks one use-tree starting at `i` with the path
+    /// segments accumulated so far, resolving every leaf path (and group
+    /// prefix). Returns the index one past the subtree.
+    fn use_tree(
+        &self,
+        decl: &[LexToken],
+        mut i: usize,
+        prefix: &[String],
+        out: &mut Vec<String>,
+    ) -> usize {
+        let mut segs: Vec<String> = prefix.to_vec();
+        while i < decl.len() {
+            let t = &decl[i];
+            if t.is_punct(",") || t.is_punct("}") {
+                break; // end of this subtree; the group loop consumes it
+            }
+            if t.is_punct("{") {
+                // Group: each comma-separated child extends the current
+                // prefix (`use a::{b, c::d};`).
+                i += 1;
+                while i < decl.len() && !decl[i].is_punct("}") {
+                    if decl[i].is_punct(",") {
+                        i += 1;
+                        continue;
+                    }
+                    let next = self.use_tree(decl, i, &segs, out);
+                    i = next.max(i + 1);
+                }
+                out.extend(self.resolve(&segs));
+                return i + 1;
+            }
+            if t.is_ident("as") {
+                i += 2; // rename: `as alias`
+                continue;
+            }
+            if t.kind == LexKind::Ident {
+                segs.push(t.text.clone());
+            }
+            i += 1;
+        }
+        out.extend(self.resolve(&segs));
+        i
+    }
+
+    /// Resolves a path's head (`rtped_core`, `crate`, `super`, `self`, a
+    /// declared child module, or a crate alias plus its next segment) and
+    /// the segment after it to a file in the walked set.
+    fn resolve(&self, segs: &[String]) -> Option<String> {
+        let (head, rest) = segs.split_first()?;
+        let second = rest.first().map(String::as_str);
+        match head.as_str() {
+            "crate" => resolve_in_dir(&own_crate_root(self.rel)?, second, self.files),
+            "self" | "super" => {
+                // Sibling module of the current file's directory (for
+                // `super` in a child module this approximates to the same
+                // directory, which is file-exact for the flat module trees
+                // this workspace uses).
+                let (dir, _) = self.rel.rsplit_once('/')?;
+                resolve_in_dir(dir, second, self.files)
+            }
+            _ if self.children.contains_key(head) => self.children.get(head).cloned(),
+            _ => {
+                let alias = second.and_then(|a| self.aliases.get(&(head.clone(), a.to_string())));
+                if let Some(target) = alias {
+                    let aliased: Vec<String> = std::iter::once(target.clone())
+                        .chain(rest[1..].iter().cloned())
+                        .collect();
+                    return self.resolve(&aliased);
+                }
+                resolve_in_dir(self.crate_table.get(head)?, second, self.files)
+            }
+        }
+    }
 }
 
 /// Resolves an optional module name within a source dir: the module file
@@ -483,7 +562,103 @@ mod tests {
         ]);
         let g = build(&table(), &files);
         assert_eq!(g.edges["crates/core/src/lib.rs"].len(), 1);
-        let reach = g.reachable_from("crates/core/src/lib.rs");
+        let reach = g.reachable_from(["crates/core/src/lib.rs"], true);
         assert!(reach.contains("crates/core/src/a.rs"));
+    }
+
+    /// `unreached-module` findings as `(file, line, message)`, over a table
+    /// that also holds the `rtped` facade.
+    fn unreached(files: &[(&str, &str)]) -> Vec<(String, usize, String)> {
+        let mut table = table();
+        table.insert("rtped".to_string(), "src".to_string());
+        let mut out = Vec::new();
+        check_unreached(&build(&table, &lex_map(files)), &mut out);
+        assert!(out.iter().all(|v| v.rule == UNREACHED_MODULE));
+        out.into_iter()
+            .map(|v| (v.file, v.line, v.message))
+            .collect()
+    }
+
+    #[test]
+    fn a_mod_declaration_alone_does_not_reach_its_module() {
+        let files = [
+            ("crates/core/src/lib.rs", "pub mod m;\npub fn g() {}\n"),
+            ("crates/core/src/m.rs", ""),
+            ("tests/t.rs", "use rtped_core::g;\n"),
+        ];
+        let found = unreached(&files);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(
+            (found[0].0.as_str(), found[0].1),
+            ("crates/core/src/lib.rs", 1)
+        );
+        assert!(found[0].2.contains("crates/core/src/m.rs"));
+    }
+
+    #[test]
+    fn a_root_reaches_a_module_through_its_crate_root_reexport() {
+        let files = [
+            ("crates/core/src/lib.rs", "pub mod m;\npub use m::X;\n"),
+            ("crates/core/src/m.rs", "pub struct X;\n"),
+            ("examples/e.rs", "use rtped_core::X;\nfn main() {}\n"),
+        ];
+        assert_eq!(unreached(&files), []);
+    }
+
+    #[test]
+    fn a_bare_child_path_in_the_crate_root_reaches_the_child() {
+        let files = [
+            ("crates/core/src/lib.rs", "mod m;\npub fn g() { m::f() }\n"),
+            ("crates/core/src/m.rs", "pub fn f() {}\n"),
+            (
+                "crates/core/src/bin/tool.rs",
+                "fn main() { rtped_core::g() }\n",
+            ),
+        ];
+        assert_eq!(unreached(&files), []);
+    }
+
+    #[test]
+    fn a_facade_alias_path_reaches_the_aliased_crates_module() {
+        let files = [
+            ("src/lib.rs", "pub use rtped_hw as hw;\n"),
+            ("crates/hw/src/lib.rs", "pub mod m;\n"),
+            ("crates/hw/src/m.rs", "pub struct Y;\n"),
+            ("tests/t.rs", "use rtped::hw::m::Y;\n"),
+        ];
+        assert_eq!(unreached(&files), []);
+    }
+
+    #[test]
+    fn an_unreached_module_is_reported_at_its_mod_line() {
+        let files = [
+            (
+                "crates/core/src/lib.rs",
+                "//! Docs naming rtped_core::dead are trivia.\n\npub mod live;\npub mod dead;\n",
+            ),
+            ("crates/core/src/live.rs", "pub fn f() {}\n"),
+            ("crates/core/src/dead.rs", "use crate::live::f;\n"),
+            (
+                "crates/core/src/main.rs",
+                "use rtped_core::live::f;\nfn main() { f() }\n",
+            ),
+        ];
+        let found = unreached(&files);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(
+            (found[0].0.as_str(), found[0].1),
+            ("crates/core/src/lib.rs", 4)
+        );
+        assert!(found[0].2.contains("crates/core/src/dead.rs"));
+    }
+
+    #[test]
+    fn a_corpus_without_crate_roots_has_no_candidates() {
+        let files = [
+            ("crates/core/src/orphan.rs", "pub fn f() {}\n"),
+            ("crates/hw/src/ecc.rs", "use rtped_core::orphan::f;\n"),
+            ("examples/e.rs", "fn main() {}\n"),
+        ];
+        assert_eq!(unreached(&files), []);
     }
 }

@@ -128,7 +128,6 @@ pub fn lex(src: &str) -> Lexed {
         let start = i;
         let next = b.get(i + 1).copied();
         let mut suffix = None;
-        let mut hidden = 0;
         let kind = if c == b'/' && next == Some(b'/') {
             i = b[i..].iter().position(|&x| x == b'\n').map_or(n, |k| i + k);
             LexKind::Comment
@@ -139,7 +138,7 @@ pub fn lex(src: &str) -> Lexed {
             i = end;
             LexKind::RawStr
         } else if c == b'"' || (c == b'b' && next == Some(b'"')) {
-            (i, hidden) = string_end(b, i + 1 + usize::from(c == b'b'));
+            i = string_end(b, i + 1 + usize::from(c == b'b'));
             LexKind::Str
         } else if let Some(end) =
             char_literal_end(src, i + usize::from(c == b'b' && next == Some(b'\'')))
@@ -178,12 +177,7 @@ pub fn lex(src: &str) -> Lexed {
             line,
             in_attr: false,
         };
-        // A newline escaped by a backslash inside a string (a string
-        // continuation) is deliberately not counted, so every later line
-        // of the file reports one early. The line numbers pinned in
-        // LINT_BASELINE.json and the fixture report follow that count;
-        // correcting it is a separate, report-changing fix.
-        line += b[start..i].iter().filter(|&&x| x == b'\n').count() - hidden;
+        line += b[start..i].iter().filter(|&&x| x == b'\n').count();
         if tok.kind == LexKind::Comment {
             out.trivia.push(tok);
         } else {
@@ -236,23 +230,18 @@ fn raw_string_end(b: &[u8], i: usize) -> Option<usize> {
     )
 }
 
-/// End of the string whose body starts at `body` (one past the closing
-/// quote, or end of input), and how many newlines sit right behind a
-/// backslash.
-fn string_end(b: &[u8], body: usize) -> (usize, usize) {
-    let mut hidden = 0;
+/// End of the string whose body starts at `body`: one past the closing
+/// quote, or end of input.
+fn string_end(b: &[u8], body: usize) -> usize {
     let mut j = body;
     while j < b.len() {
         match b[j] {
-            b'\\' => {
-                hidden += usize::from(b.get(j + 1) == Some(&b'\n'));
-                j += 2;
-            }
-            b'"' => return (j + 1, hidden),
+            b'\\' => j += 2,
+            b'"' => return j + 1,
             _ => j += 1,
         }
     }
-    (b.len(), hidden)
+    b.len()
 }
 
 /// If a character literal starts at the `'` at byte `i`, returns its end

@@ -187,7 +187,8 @@ pub fn run_filtered(root: &Path, prefix: Option<&str>) -> std::io::Result<Worksp
         analyses.push((rel.clone(), analysis));
     }
 
-    // Cross-cutting pass: module graph, lock nesting, determinism taint.
+    // Cross-cutting pass: module graph, lock nesting, determinism taint,
+    // module reachability.
     let rels: Vec<String> = toks_map.keys().cloned().collect();
     let crate_table = graph::crate_roots(root, &rels);
     let module_graph = graph::build(&crate_table, &toks_map);
@@ -198,6 +199,7 @@ pub fn run_filtered(root: &Path, prefix: Option<&str>) -> std::io::Result<Worksp
     }
     locks::check_cycles(&lock_edges, &mut cross);
     taint::check(&module_graph, &toks_map, &tests_map, &mut cross);
+    graph::check_unreached(&module_graph, &mut cross);
 
     // Resolution pass: route cross-cutting violations through their
     // anchor file's pragmas, then aggregate.

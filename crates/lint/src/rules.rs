@@ -38,9 +38,12 @@
 //! - `determinism-taint` ([`crate::taint`]) — report-producing modules
 //!   must not reach wall-clock/env/thread-identity sources along the
 //!   use-graph except through the sanctioned facades.
+//! - `unreached-module` ([`crate::graph`]) — every file declared with
+//!   `mod m;` must be reached over `use` edges from a binary, example or
+//!   integration test.
 //!
 //! The per-file rules run over the [`crate::lexer`] token stream, and the
-//! pragma and `SAFETY:` checks over its comment trivia; the last four are
+//! pragma and `SAFETY:` checks over its comment trivia; the last five are
 //! cross-cutting and are orchestrated by [`crate::run_workspace`] on top
 //! of the per-file [`Analysis`] this module produces.
 //!
@@ -78,6 +81,8 @@ pub const HASH_ITER: &str = "hash-iteration-nondeterminism";
 pub const LOCK_ORDER: &str = "lock-order";
 /// Rule: nondeterminism sources reachable from report producers.
 pub const DET_TAINT: &str = "determinism-taint";
+/// Rule: `mod` declarations no binary, example or test reaches.
+pub const UNREACHED_MODULE: &str = "unreached-module";
 
 /// Every suppressible rule name (the pragma parser validates against
 /// this; `suppression-pragma` itself is deliberately not suppressible).
@@ -93,6 +98,7 @@ pub const RULES: &[&str] = &[
     HASH_ITER,
     LOCK_ORDER,
     DET_TAINT,
+    UNREACHED_MODULE,
 ];
 
 /// One reported violation.

@@ -192,7 +192,7 @@ pub fn check(
         if is_absorber(rel) {
             continue;
         }
-        let reach = graph.reachable_from(rel);
+        let reach = graph.reachable_from([rel.as_str()], true);
         if reach.is_disjoint(&report_targets) {
             continue;
         }

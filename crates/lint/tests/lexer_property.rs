@@ -5,7 +5,8 @@
 //! tokens, `//` inside string literals and quotes inside comments,
 //! nested block comments as one comment, maximal-munch `<<`/`>>` (nested
 //! generics included: the *rule* layer disambiguates, the lexer munches),
-//! and lifetimes vs char literals.
+//! lifetimes vs char literals, and physical line numbers after string
+//! continuations.
 
 use rtped_core::check::{ascii_string, choice, vec_of};
 use rtped_lint::lexer::{lex, LexKind, LexToken};
@@ -301,6 +302,20 @@ rtped_core::check! {
         let cut = src.len() * cut_pct / 100;
         let truncated = &src[..cut];
         assert_stream(truncated, &stream(truncated));
+    }
+
+    /// A backslash-escaped newline inside a string (a string
+    /// continuation) still ends a physical line: the token after the
+    /// string reports the line it sits on.
+    fn string_continuations_keep_physical_lines(
+        breaks in 0..6usize,
+        byte in 0..=1usize
+    ) {
+        let prefix = if byte == 1 { "b" } else { "" };
+        let body = "part \\\n    ".repeat(breaks);
+        let src = format!("let s = {prefix}\"{body}end\";\nlet t = 1;\n");
+        let t = lex(&src).toks.into_iter().find(|t| t.is_ident("t"));
+        rtped_core::check_assert_eq!(t.map(|t| t.line), Some(breaks + 2), "{src:?}");
     }
 
     fn arbitrary_ascii_never_breaks_the_lexer(

@@ -1,7 +1,7 @@
 //! Integration tests over the fixture corpora: `tests/fixtures/bad` holds
 //! at least one known-bad file per rule (plus a pragma with no
 //! justification) and must light up every rule — the per-file rules, the
-//! overflow audit, and the three graph rules; `tests/fixtures/good`
+//! overflow audit, and the four graph rules; `tests/fixtures/good`
 //! mirrors the sanctioned layout and must lint clean with exactly one
 //! justified suppression.
 
@@ -34,6 +34,7 @@ fn bad_corpus_fires_every_rule() {
         rules::HASH_ITER,
         rules::LOCK_ORDER,
         rules::DET_TAINT,
+        rules::UNREACHED_MODULE,
         rules::SUPPRESSION_PRAGMA,
     ] {
         assert!(
@@ -62,6 +63,8 @@ fn bad_corpus_flags_the_expected_sites() {
         ("crates/core/src/knobs.rs", 4, rules::RAW_ENV),
         ("crates/core/src/pragma.rs", 5, rules::SUPPRESSION_PRAGMA),
         ("crates/core/src/pragma.rs", 6, rules::UNWRAP_IN_LIB),
+        // A crate root declaring a module no root reaches.
+        ("crates/eval/src/lib.rs", 3, rules::UNREACHED_MODULE),
         // Nested acquisition with no declared order, then a reentrant one.
         ("crates/fleet/src/locky.rs", 7, rules::LOCK_ORDER),
         ("crates/fleet/src/locky.rs", 14, rules::LOCK_ORDER),
@@ -129,7 +132,7 @@ fn json_report_is_canonical_and_complete() {
     let report = out.to_json().to_string();
     assert!(report.starts_with("{\"format\":2"), "{report}");
     assert!(report.contains("\"tool\":\"rtped-lint\""), "{report}");
-    assert!(report.contains("\"files_scanned\":12"), "{report}");
+    assert!(report.contains("\"files_scanned\":14"), "{report}");
     assert!(report.contains("examples/clocky.rs"), "{report}");
     // Every rule gets its own section, present even when empty.
     for rule in rules::RULES.iter().chain([&rules::SUPPRESSION_PRAGMA]) {

@@ -17,8 +17,7 @@
 //! lockstep mismatch, watchdog events) escalate the degradation
 //! controller one rung via `observe_integrity_fault` — the
 //! `integrity_fault` transition cause — and every frame's ECC/lockstep
-//! accounting folds into the run-level
-//! [`IntegrityReport`](rtped_hw::IntegrityReport) published in
+//! accounting folds into the run-level [`IntegrityReport`] published in
 //! [`RunReport::integrity`].
 //!
 //! The loop is serial and every latency is modeled from cycle counts at

@@ -392,8 +392,8 @@ pub enum Response {
         job: String,
         /// Engine family that served it (`software` / `integrity`).
         engine: String,
-        /// The frame's run record (shared schema with [`RunReport`]'s
-        /// frame log).
+        /// The frame's run record (shared schema with
+        /// [`RunReport`](rtped_runtime::RunReport)'s frame log).
         record: FrameRecord,
     },
     /// Admission control rejected the request without touching the

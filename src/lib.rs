@@ -14,13 +14,13 @@
 //!
 //! - [`core`] — the hermetic zero-dependency substrate: seeded RNG
 //!   ([`core::rng`]), minimal JSON ([`core::json`]), the property-test
-//!   harness ([`core::check`]), the micro-bench timer ([`core::timer`]),
+//!   harness ([`core::check`](mod@core::check)), the micro-bench timer ([`core::timer`]),
 //!   and the workspace-wide [`Error`] type.
 //! - [`image`] — grayscale image substrate (containers, PNM I/O, resize,
 //!   drawing, synthetic textures, integral images).
 //! - [`hog`] — HOG feature extraction and the feature/image pyramids.
-//! - [`svm`] — linear SVM training (Pegasos, dual coordinate descent) and
-//!   inference.
+//! - [`svm`] — linear SVM training (dual coordinate descent), Platt
+//!   calibration and inference.
 //! - [`dataset`] — the seeded synthetic INRIA-protocol dataset.
 //! - [`eval`] — ROC / AUC / EER / confusion-matrix evaluation.
 //! - [`detect`] — multi-scale detectors (conventional image pyramid and the

@@ -1,19 +1,13 @@
-//! Integration: the training-side extensions — hard-negative mining,
-//! Platt calibration, class weighting, and the multi-model detector —
-//! working together on the synthetic dataset.
+//! Integration: the training-side extensions — Platt calibration and
+//! class weighting — on the synthetic dataset.
 
 use rtped::dataset::InriaProtocol;
-use rtped::detect::mining::{bootstrap_train, count_false_alarms, BootstrapParams};
-use rtped::detect::multimodel::MultiModelDetector;
 use rtped::hog::feature_map::FeatureMap;
 use rtped::hog::params::HogParams;
-use rtped::image::synthetic::clutter_background;
 use rtped::image::GrayImage;
 use rtped::svm::dcd::{train_dcd, DcdParams};
 use rtped::svm::model::Label;
 use rtped::svm::platt::CalibratedSvm;
-
-use rtped_core::rng::SeedRng;
 
 fn features(img: &GrayImage, params: &HogParams) -> Vec<f32> {
     FeatureMap::extract(img, params).window_descriptor(0, 0, params)
@@ -84,52 +78,6 @@ fn platt_calibration_orders_test_windows_by_confidence() {
 }
 
 #[test]
-fn mining_then_calibration_pipeline() {
-    let params = HogParams::pedestrian();
-    let dataset = InriaProtocol::builder()
-        .train_positives(60)
-        .train_negatives(180)
-        .test_positives(10)
-        .test_negatives(40)
-        .seed(53)
-        .build()
-        .unwrap();
-    let samples = labelled_samples(&dataset, &params);
-    let mut rng = SeedRng::seed_from_u64(99);
-    let scenes: Vec<GrayImage> = (0..2)
-        .map(|_| clutter_background(&mut rng, 192, 192))
-        .collect();
-
-    let config = BootstrapParams {
-        rounds: 1,
-        scales: vec![1.0],
-        max_new_per_round: 200,
-        svm: DcdParams {
-            c: 0.01,
-            ..DcdParams::default()
-        },
-        ..BootstrapParams::default()
-    };
-    let baseline = train_dcd(&samples, &config.svm);
-    let alarms_before = count_false_alarms(&baseline, &scenes, &params, &config.scales, 0.0);
-    let mined = bootstrap_train(samples, &scenes, &params, &config);
-    let alarms_after = count_false_alarms(&mined.model, &scenes, &params, &config.scales, 0.0);
-    assert!(alarms_after <= alarms_before);
-
-    // The mined model must still detect the actual test pedestrians.
-    let hits = dataset
-        .test_positives()
-        .iter()
-        .filter(|img| mined.model.decision(&features(img, &params)) > 0.0)
-        .count();
-    assert!(
-        hits * 2 >= dataset.test_positives().len(),
-        "mining destroyed recall: {hits}/{}",
-        dataset.test_positives().len()
-    );
-}
-
-#[test]
 fn class_weighting_trades_misses_for_false_alarms() {
     let params = HogParams::pedestrian();
     let dataset = InriaProtocol::builder()
@@ -169,56 +117,5 @@ fn class_weighting_trades_misses_for_false_alarms() {
         "class weighting failed to improve recall: {} vs {}",
         misses(&recall_biased),
         misses(&symmetric)
-    );
-}
-
-#[test]
-fn multimodel_bank_matches_feature_pyramid_on_base_scale() {
-    // At scale 1.0 the multi-model detector and the classic single-model
-    // path are the same computation; verify they agree on test windows.
-    let params = HogParams::pedestrian();
-    let dataset = InriaProtocol::builder()
-        .train_positives(60)
-        .train_negatives(180)
-        .test_positives(20)
-        .test_negatives(20)
-        .seed(61)
-        .build()
-        .unwrap();
-    let training: Vec<(GrayImage, Label)> = dataset
-        .labelled_train()
-        .map(|(img, positive)| {
-            (
-                img.clone(),
-                if positive {
-                    Label::Positive
-                } else {
-                    Label::Negative
-                },
-            )
-        })
-        .collect();
-    let svm = DcdParams {
-        c: 0.01,
-        ..DcdParams::default()
-    };
-    let bank = MultiModelDetector::train(&training, &[1.0], &params, &svm);
-    let samples = labelled_samples(&dataset, &params);
-    let single = train_dcd(&samples, &svm);
-
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for (img, _) in dataset.labelled_test() {
-        let d = features(img, &params);
-        let single_sign = single.decision(&d) > 0.0;
-        let bank_sign = bank.models()[0].model.decision(&d) > 0.0;
-        total += 1;
-        if single_sign == bank_sign {
-            agree += 1;
-        }
-    }
-    assert!(
-        agree as f64 / total as f64 > 0.95,
-        "single model and scale-1.0 bank model diverge: {agree}/{total}"
     );
 }
