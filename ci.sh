@@ -57,6 +57,18 @@ cargo build --workspace --all-targets --release --offline
 echo "== cargo test -q --offline =="
 cargo test --workspace -q --offline
 
+echo "== rtped-hog tests with optimisation on (par::wide == plain-body properties see the vectorised codegen) =="
+cargo test --release -q --offline -p rtped-hog
+
+echo "== dasbench: its own tests, then a short parked_720p run that must report correct:true =="
+cargo test --release --offline --manifest-path dasbench/Cargo.toml
+das_result=$(bash dasbench/run.sh --workload parked_720p --seed 1 --seconds 3 --trace 0 | tail -n 1)
+if ! grep -q '"correct":true' <<<"$das_result"; then
+    echo "dasbench: parked_720p run is not correct (served i16 path vs stateless detections and the recorded canary)" >&2
+    echo "$das_result" >&2
+    exit 1
+fi
+
 echo "== miri (best-effort: UB verification of the unsafe par core + wire framing) =="
 if cargo +nightly miri --version >/dev/null 2>&1; then
     # Hard gate when available: any UB report fails CI.

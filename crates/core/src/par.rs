@@ -18,6 +18,9 @@
 //! - [`for_each_band`]: in-place fill of disjoint bands of an output
 //!   buffer (feature-map resampling writes each output row exactly once).
 //!
+//! [`wide`] covers the other axis: it runs one kernel at AVX2 vector
+//! width on x86-64 CPUs that have it.
+//!
 //! # Thread count
 //!
 //! All entry points size their worker pool from [`threads`]: the
@@ -437,6 +440,31 @@ pub fn band_ranges(n: usize, max_bands: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// Runs `f` at AVX2 vector width when the CPU has it — the lane axis of
+/// parallelism, next to the thread axis of [`map`].
+///
+/// On x86-64 with AVX2, `f` is inlined into an AVX2-enabled trampoline,
+/// so the integer loops inside it autovectorize at 256 bits; otherwise
+/// (and on every other target) `f` runs as built. Only pass bodies whose
+/// result cannot depend on the instruction set — exact integer math or
+/// lane-wise float expressions — since callers never learn which ran.
+#[inline]
+pub fn wide<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn avx2<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `avx2` only enables AVX2, which the running CPU has
+            // just reported; `f` itself is safe code.
+            return unsafe { avx2(f) };
+        }
+    }
+    f()
+}
+
 /// Claim granularity for [`map_with_threads`]: small enough that uneven
 /// item costs still balance across the pool, large enough that the shared
 /// counter sees ~32 RMWs per thread rather than one per item.
@@ -727,6 +755,15 @@ mod tests {
             "re-panic lost the payload: {text}"
         );
         assert!(text.contains("item 90"), "re-panic lost the index: {text}");
+    }
+
+    // CI's miri step runs the `par::` tests; this one is how it reaches
+    // `wide`.
+    #[test]
+    fn wide_returns_what_its_body_returns() {
+        let owned = vec![3i32, -4, 5];
+        let sum = wide(move || owned.into_iter().map(|v| v * v).sum::<i32>());
+        assert_eq!(sum, 50);
     }
 
     crate::check! {

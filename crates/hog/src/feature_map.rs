@@ -569,12 +569,19 @@ impl FeatureMap {
         assert_eq!(q.bins(), self.bins, "bin count mismatch");
         assert!(rows.end <= self.cells_y, "cell rows out of bounds");
         let row_len = self.cells_x * self.cell_features();
-        let scale = (1i32 << FEATURE_FRAC_BITS) as f32;
         let src = &self.data[rows.start * row_len..rows.end * row_len];
         let dst = q.rows_mut(rows);
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = (v * scale).round().clamp(-scale, scale) as i16;
-        }
+        par::wide(|| quantize_lanes(src, dst));
+    }
+}
+
+/// The loop body of [`FeatureMap::quantize_rows_into`]: a lane-wise
+/// expression, so every vector width [`par::wide`] picks rounds alike.
+#[inline(always)]
+fn quantize_lanes(src: &[f32], dst: &mut [i16]) {
+    let scale = (1i32 << FEATURE_FRAC_BITS) as f32;
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = (v * scale).round().clamp(-scale, scale) as i16;
     }
 }
 
@@ -827,6 +834,62 @@ mod tests {
             let want = (f * 4096.0).round().clamp(-4096.0, 4096.0) as i16;
             assert_eq!(i, want);
             assert!(i.unsigned_abs() <= 4096);
+        }
+    }
+
+    /// The quantization edge cases: NaN, ±inf, ±0, subnormals, ±MAX,
+    /// values beyond ±1, and every f32 within ±4 ulp of each Q12
+    /// rounding tie `(k + 0.5) / 4096` for `|k| <= 6144`.
+    fn quantize_edge_values() -> Vec<f32> {
+        let mut v = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            f32::MIN,
+            1.0,
+            -1.0,
+            1.5,
+            -1.5,
+            2.0,
+            -1e9,
+            1e30,
+        ];
+        for k in -6144i32..=6144 {
+            let tie = (k as f32 + 0.5) / 4096.0;
+            v.extend((-4i32..=4).map(|ulp| f32::from_bits(tie.to_bits().wrapping_add_signed(ulp))));
+        }
+        v
+    }
+
+    rtped_core::check! {
+        #![cases = 24]
+        /// The `par::wide` dispatch of `quantize_rows_into` writes the same
+        /// bits as the plain loop body compiled at the baseline ISA, for
+        /// every edge value plus random bit patterns, at a random start
+        /// alignment. On a host without AVX2 both sides run the same code,
+        /// so the property holds trivially there.
+        fn wide_quantize_matches_plain_body(skip in 0usize..64, seed in 0u64..u64::MAX) {
+            let mut rng = rtped_core::rng::SeedRng::seed_from_u64(seed);
+            let mut src = quantize_edge_values();
+            src.extend((0..4096).map(|_| f32::from_bits(rtped_core::rng::Rng::next_u32(&mut rng))));
+            // One bin per role: a cell is 4 values, a cell row one cell.
+            let rows = src.len() / 4;
+            let map = FeatureMap::from_raw(1, rows, 1, src[..rows * 4].to_vec());
+            let start = skip;
+            let mut q = QuantFeatureMap::new(1, rows, 1);
+            map.quantize_rows_into(&mut q, start..rows);
+            let mut plain = vec![0i16; (rows - start) * 4];
+            quantize_lanes(&map.as_raw()[start * 4..], &mut plain);
+            rtped_core::check_assert_eq!(&q.as_raw()[start * 4..], &plain[..]);
         }
     }
 

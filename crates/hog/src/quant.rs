@@ -19,8 +19,18 @@
 //! `QuantModel`'s scale selection), so one window row's dot product fits
 //! an `i32` without wrapping; rows are then reduced in `i64`, which has
 //! headroom for billions of rows.
+//!
+//! ## Vector width
+//!
+//! The scoring loop is plain scalar Rust that rustc autovectorizes: at
+//! SSE2 in the baseline x86-64 build, and at AVX2 when
+//! [`QuantFeatureMap::score_window_row`] runs it through
+//! [`rtped_core::par::wide`] on a CPU that has it. Integer addition is
+//! associative, so both widths return the same bits.
 
 use std::ops::Range;
+
+use rtped_core::par;
 
 /// Fraction bits of quantized features (Q12: unit value = 4096).
 ///
@@ -33,7 +43,7 @@ pub const FEATURE_FRAC_BITS: u32 = 12;
 /// with the identical layout
 /// `data[(cy * cells_x + cx) * 4 * bins + role * bins + bin]`
 /// so the scoring kernel's inner loop is a contiguous, stride-1 dot
-/// product that rustc autovectorizes.
+/// product that rustc autovectorizes (see the module doc on vector width).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantFeatureMap {
     cells_x: usize,
@@ -130,6 +140,26 @@ impl QuantFeatureMap {
             cols == 0 || (cols - 1) * stride + wc <= gx,
             "window columns out of bounds"
         );
+        par::wide(|| self.score_window_row_lanes(weights, wc, hc, cy, cols, stride, out));
+    }
+
+    /// The loop body of [`Self::score_window_row`], after its bounds
+    /// checks; inlined into whichever vector width [`par::wide`] picks.
+    #[allow(clippy::too_many_arguments)] // bare window geometry, kept flat for the hot path
+    #[inline(always)]
+    fn score_window_row_lanes(
+        &self,
+        weights: &[i16],
+        wc: usize,
+        hc: usize,
+        cy: usize,
+        cols: usize,
+        stride: usize,
+        out: &mut [i64],
+    ) {
+        let f = self.cell_features();
+        let row_len = wc * f;
+        let gx = self.cells_x;
         for (col, o) in out.iter_mut().take(cols).enumerate() {
             let cx = col * stride;
             let mut total: i64 = 0;
@@ -152,6 +182,7 @@ impl QuantFeatureMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtped_core::rng::{Rng, SeedRng};
 
     #[test]
     fn new_map_is_zeroed() {
@@ -196,6 +227,57 @@ mod tests {
                 }
             }
             assert_eq!(got, want, "column {col}");
+        }
+    }
+
+    /// Draws `n` values in `-bound..=bound`, with about one in eight
+    /// forced to an extreme so the overflow contract's corners are hit.
+    fn extreme_heavy(rng: &mut SeedRng, n: usize, bound: i16) -> Vec<i16> {
+        (0..n)
+            .map(|_| match rng.gen_range(0u32..16) {
+                0 => bound,
+                1 => -bound,
+                _ => rng.gen_range(-bound..=bound),
+            })
+            .collect()
+    }
+
+    rtped_core::check! {
+        #![cases = 96]
+        /// The `par::wide` dispatch of `score_window_row` returns the same
+        /// bits as the plain loop body compiled at the baseline ISA. Bin
+        /// counts 1..=9 give row lengths that are not multiples of any
+        /// vector width, so the vector loops' scalar tails run too.
+        /// Features span the full clamped Q12 range and weights reach the
+        /// `QuantModel` row-overflow limit for the drawn row length. On a
+        /// host without AVX2 both sides run the same code, so the property
+        /// holds trivially there.
+        fn wide_scoring_matches_plain_body(
+            wc in 1usize..=8,
+            hc in 1usize..=8,
+            stride in 1usize..=3,
+            half_cols in 0usize..=10,
+            bins in 1usize..=9,
+            slack in 0usize..=2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SeedRng::seed_from_u64(seed);
+            let cols = 2 * half_cols + 1;
+            let (gx, gy) = ((cols - 1) * stride + wc + slack, hc + slack);
+            let mut q = QuantFeatureMap::new(gx, gy, bins);
+            let feature_limit = 1i16 << FEATURE_FRAC_BITS;
+            let features = extreme_heavy(&mut rng, q.as_raw().len(), feature_limit);
+            q.rows_mut(0..gy).copy_from_slice(&features);
+            let row_terms = wc * q.cell_features();
+            let weight_limit = (i64::from(i32::MAX) / (i64::from(feature_limit) * row_terms as i64))
+                .min(i64::from(i16::MAX)) as i16;
+            let weights = extreme_heavy(&mut rng, hc * row_terms, weight_limit);
+            let cy = rng.gen_range(0..=slack);
+            let mut wide = vec![0i64; cols];
+            let mut plain = vec![0i64; cols];
+            q.score_window_row(&weights, wc, hc, cy, cols, stride, &mut wide);
+            q.score_window_row_lanes(&weights, wc, hc, cy, cols, stride, &mut plain);
+            rtped_core::check_assert_eq!(wide, plain);
         }
     }
 
