@@ -160,6 +160,14 @@ cargo run --release --offline -p rtped-bench --bin table2 | diff - results_table
 echo "== results_throughput.txt regen check (the 1,200,420-cycle HDTV schedule is byte-stable) =="
 cargo run --release --offline -p rtped-bench --bin throughput 2>/dev/null | diff - results_throughput.txt
 
+echo "== accuracy quick-run regen checks (extraction, resampling and renormalization are byte-stable) =="
+# crossover has no quick mode (minutes) and scene_ap prints wall-clock ms,
+# so neither is diffed here.
+for bin in table1 figure4 ablation_norm ablation_quantization; do
+    RTPED_QUICK=1 cargo run --release --offline -p rtped-bench --bin "$bin" 2>/dev/null \
+        | diff - "results_$bin.quick.txt"
+done
+
 echo "== BENCH_hw_shard.json regen check (cycle model is byte-stable) =="
 shard_baseline=$(mktemp)
 cp BENCH_hw_shard.json "$shard_baseline"

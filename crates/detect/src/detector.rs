@@ -10,6 +10,7 @@
 //!   once, down-sample the normalized feature map per scale, classify.
 
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::Mutex;
 
@@ -27,10 +28,10 @@ use crate::kernel::{self, F32Kernel};
 use crate::nms::non_maximum_suppression;
 use crate::temporal::{self, PyramidCache, TemporalStats};
 
-/// Below this many windows per level, the scan runs serially: thread-pool
+/// Below this many windows per scan, the scan runs serially: thread-pool
 /// hand-off costs more than the scoring itself (the 640×480 parallel
 /// regression in `BENCH_detect.json`).
-pub(crate) const PAR_MIN_WINDOWS: usize = 8192;
+const PAR_MIN_WINDOWS: usize = 8192;
 
 /// Which arithmetic the window-scoring hot path uses.
 ///
@@ -495,11 +496,7 @@ pub(crate) struct LevelGeometry {
 impl LevelGeometry {
     /// Geometry for a level with `cells` under `config`, or `None` when
     /// the level is too small to hold a single window.
-    pub(crate) fn for_level(
-        cells: (usize, usize),
-        scale: f64,
-        config: &DetectorConfig,
-    ) -> Option<Self> {
+    fn for_level(cells: (usize, usize), scale: f64, config: &DetectorConfig) -> Option<Self> {
         let params = &config.params;
         let (wc, hc) = params.window_cells();
         let (gx, gy) = cells;
@@ -522,9 +519,37 @@ impl LevelGeometry {
     }
 }
 
+/// A level's features in the scoring form of its datapath.
+#[derive(Debug)]
+pub(crate) enum Plane {
+    /// f32 datapath: the features widened to `f64` once (exact).
+    F64(Vec<f64>),
+    /// i16 datapath: the features quantized to Q12.
+    I16(QuantFeatureMap),
+}
+
+impl Plane {
+    /// The plane of `features` for the datapath `quant` selects (`Some`:
+    /// i16).
+    fn new(features: &FeatureMap, quant: Option<&QuantModel>) -> Self {
+        match quant {
+            Some(_) => Plane::I16(features.quantized()),
+            None => Plane::F64(kernel::to_f64(features)),
+        }
+    }
+
+    /// Refreshes cell rows `rows` from `features`, leaving the others.
+    pub(crate) fn update_rows(&mut self, features: &FeatureMap, rows: Range<usize>) {
+        match self {
+            Plane::F64(raw64) => kernel::update_rows_f64(raw64, features, rows),
+            Plane::I16(qmap) => features.quantize_rows_into(qmap, rows),
+        }
+    }
+}
+
 /// A bound per-level scorer for one datapath: scores a whole window row
 /// per call through the blocked kernels.
-pub(crate) enum RowScorer<'a> {
+enum RowScorer<'a> {
     /// Blocked f64-accumulation kernel over preconverted features.
     F32(F32Kernel<'a>),
     /// Integer kernel over quantized features and weights.
@@ -536,15 +561,41 @@ pub(crate) enum RowScorer<'a> {
     },
 }
 
-impl RowScorer<'_> {
+impl<'a> RowScorer<'a> {
+    /// Binds `plane` (built from `features`) to the model of its datapath.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane` is i16 and `quant` is `None`; [`Plane::new`]
+    /// builds an i16 plane only for a quantized model.
+    fn new(
+        plane: &'a Plane,
+        features: &FeatureMap,
+        geom: &LevelGeometry,
+        model: &'a LinearSvm,
+        quant: Option<&'a QuantModel>,
+    ) -> Self {
+        match plane {
+            Plane::F64(raw64) => RowScorer::F32(F32Kernel::new(
+                raw64,
+                features.cells().0,
+                features.cell_features(),
+                geom.wc,
+                geom.hc,
+                model,
+            )),
+            Plane::I16(qmap) => RowScorer::I16 {
+                qmap,
+                model: quant.expect("an i16 plane is built only for a quantized model"),
+                wc: geom.wc,
+                hc: geom.hc,
+            },
+        }
+    }
+
     /// Scores window-row `ry`, returning its above-threshold detections in
     /// column order (the serial raster order within the row).
-    pub(crate) fn row_hits(
-        &self,
-        geom: &LevelGeometry,
-        threshold: f64,
-        ry: usize,
-    ) -> Vec<Detection> {
+    fn row_hits(&self, geom: &LevelGeometry, threshold: f64, ry: usize) -> Vec<Detection> {
         let cy = ry * geom.stride;
         let mut scores = vec![0.0f64; geom.cols];
         match self {
@@ -594,64 +645,93 @@ impl RowScorer<'_> {
     }
 }
 
-/// Scores every window row of a level, returning one hit list per window
-/// row (row order). Rows are fanned across cores in contiguous bands —
-/// each row's result is independent, so the per-row lists are identical
-/// for any thread count — with a serial short-circuit for small levels.
-pub(crate) fn scan_level_rows(
-    scorer: &RowScorer<'_>,
-    geom: &LevelGeometry,
-    threshold: f64,
-) -> Vec<Vec<Detection>> {
-    if geom.rows * geom.cols < PAR_MIN_WINDOWS {
-        return (0..geom.rows)
-            .map(|ry| scorer.row_hits(geom, threshold, ry))
-            .collect();
-    }
-    let bands = par::band_ranges(geom.rows, par::threads() * 4);
-    let per_band = par::map(&bands, |band| {
-        band.clone()
-            .map(|ry| scorer.row_hits(geom, threshold, ry))
-            .collect::<Vec<_>>()
-    });
-    per_band.into_iter().flatten().collect()
+/// One pyramid level as its scan left it: the window geometry, the plane
+/// the windows were scored on, and the pre-NMS hits of every window row.
+#[derive(Debug)]
+pub(crate) struct LevelScan {
+    pub geom: LevelGeometry,
+    pub plane: Plane,
+    /// Above-threshold detections per window row, in native coordinates.
+    pub row_hits: Vec<Vec<Detection>>,
 }
 
-/// Scores every window position of one pyramid level, appending hits above
-/// the configured threshold to `out` in native coordinates (serial raster
-/// order). Dispatches to the blocked kernel of the configured datapath;
-/// the f32 path is bit-identical to the reference [`score_window`].
-fn scan_level(
+impl LevelScan {
+    /// Scores window rows `rys` against the plane, which the caller keeps
+    /// current with `features`, and replaces their hits. Rows are fanned
+    /// across cores in contiguous bands — each row's result is
+    /// independent, so the hits are identical for any thread count — with
+    /// a serial short-circuit for small scans.
+    pub(crate) fn rescan(
+        &mut self,
+        features: &FeatureMap,
+        model: &LinearSvm,
+        quant: Option<&QuantModel>,
+        config: &DetectorConfig,
+        rys: &[usize],
+    ) {
+        let geom = &self.geom;
+        let scorer = RowScorer::new(&self.plane, features, geom, model, quant);
+        let score = |ry: &usize| scorer.row_hits(geom, config.threshold, *ry);
+        let fresh: Vec<Vec<Detection>> = if rys.len() * geom.cols < PAR_MIN_WINDOWS {
+            rys.iter().map(score).collect()
+        } else {
+            let bands = par::band_ranges(rys.len(), par::threads() * 4);
+            par::map(&bands, |band| {
+                rys[band.clone()].iter().map(score).collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+        };
+        for (&ry, hits) in rys.iter().zip(fresh) {
+            self.row_hits[ry] = hits;
+        }
+    }
+}
+
+/// Builds a level's scoring plane for the configured datapath and scores
+/// every window row of it — the one level scan of the stateless detectors
+/// and of the temporal cache's cold build. The f32 path is bit-identical
+/// to the reference [`score_window`]. `None` when the level cannot hold a
+/// window.
+pub(crate) fn scan_level(
     level: &PyramidLevel,
     model: &LinearSvm,
     quant: Option<&QuantModel>,
     config: &DetectorConfig,
-    out: &mut Vec<Detection>,
-) {
-    let Some(geom) = LevelGeometry::for_level(level.features.cells(), level.scale, config) else {
-        return;
+) -> Option<LevelScan> {
+    let geom = LevelGeometry::for_level(level.features.cells(), level.scale, config)?;
+    let rys: Vec<usize> = (0..geom.rows).collect();
+    let mut scan = LevelScan {
+        plane: Plane::new(&level.features, quant),
+        row_hits: vec![Vec::new(); geom.rows],
+        geom,
     };
-    let (gx, _) = level.features.cells();
-    let f = level.features.cell_features();
-    let per_row = match quant {
-        Some(qm) => {
-            let qmap = level.features.quantized();
-            let scorer = RowScorer::I16 {
-                qmap: &qmap,
-                model: qm,
-                wc: geom.wc,
-                hc: geom.hc,
-            };
-            scan_level_rows(&scorer, &geom, config.threshold)
-        }
-        None => {
-            let raw64 = kernel::to_f64(&level.features);
-            let scorer = RowScorer::F32(F32Kernel::new(&raw64, gx, f, geom.wc, geom.hc, model));
-            scan_level_rows(&scorer, &geom, config.threshold)
-        }
-    };
-    for hits in per_row {
-        out.extend(hits);
+    scan.rescan(&level.features, model, quant, config, &rys);
+    Some(scan)
+}
+
+/// Scans `levels` in order and applies the configured NMS: the stateless
+/// scan body of both detector families.
+fn detect_levels(
+    levels: &[PyramidLevel],
+    model: &LinearSvm,
+    quant: Option<&QuantModel>,
+    config: &DetectorConfig,
+) -> Vec<Detection> {
+    let hits = levels
+        .iter()
+        .filter_map(|level| scan_level(level, model, quant, config))
+        .flat_map(|scan| scan.row_hits.into_iter().flatten())
+        .collect();
+    suppress(hits, config)
+}
+
+/// Applies the configured non-maximum suppression, if any.
+pub(crate) fn suppress(hits: Vec<Detection>, config: &DetectorConfig) -> Vec<Detection> {
+    match config.nms_iou {
+        Some(iou) => non_maximum_suppression(hits, iou),
+        None => hits,
     }
 }
 
@@ -751,14 +831,7 @@ impl ImagePyramidDetector {
     /// the shedding path and the plain path are the same code.
     fn detect_with_config(&self, frame: &GrayImage, config: &DetectorConfig) -> Vec<Detection> {
         let pyramid = ImagePyramid::build(frame, &config.scales, &config.params);
-        let mut out = Vec::new();
-        for level in pyramid.levels() {
-            scan_level(level, &self.model, self.quant.as_ref(), config, &mut out);
-        }
-        match config.nms_iou {
-            Some(iou) => non_maximum_suppression(out, iou),
-            None => out,
-        }
+        detect_levels(pyramid.levels(), &self.model, self.quant.as_ref(), config)
     }
 }
 
@@ -897,14 +970,7 @@ impl FeaturePyramidDetector {
         config: &DetectorConfig,
     ) -> Vec<Detection> {
         let pyramid = FeaturePyramid::from_base(base, &config.scales, &config.params);
-        let mut out = Vec::new();
-        for level in pyramid.levels() {
-            scan_level(level, &self.model, self.quant.as_ref(), config, &mut out);
-        }
-        match config.nms_iou {
-            Some(iou) => non_maximum_suppression(out, iou),
-            None => out,
-        }
+        detect_levels(pyramid.levels(), &self.model, self.quant.as_ref(), config)
     }
 }
 

@@ -29,14 +29,17 @@ use rtped_svm::LinearSvm;
 /// 128-bit targets.
 pub const BLOCK_WINDOWS: usize = 8;
 
-/// Widens a feature map's raw storage to `f64` (exact).
+/// Widens a feature map's raw storage to `f64` (exact):
+/// [`update_rows_f64`] over every cell row.
 #[must_use]
 pub fn to_f64(map: &FeatureMap) -> Vec<f64> {
-    map.as_raw().iter().map(|&v| f64::from(v)).collect()
+    let mut raw64 = vec![0.0f64; map.as_raw().len()];
+    update_rows_f64(&mut raw64, map, 0..map.cells().1);
+    raw64
 }
 
-/// Re-widens only cell rows `rows` of `map` into `raw64` (the temporal
-/// cache's incremental refresh of the preconverted plane).
+/// Widens cell rows `rows` of `map` into `raw64`, leaving the other rows
+/// untouched (the temporal cache refreshes the rows a frame changed).
 ///
 /// # Panics
 ///

@@ -14,26 +14,25 @@
 //!   ry * stride + hc`.
 //!
 //! Propagating dirtiness through those exact dependency sets and
-//! recomputing precisely the dirty rows with the *same* code the cold path
-//! runs (`CellGrid::recompute_rows`, `FeatureMap::update_rows`,
-//! `FeatureMap::scaled_rows_into`, the blocked kernels) therefore yields a
-//! pyramid — and a detection list — bit-identical to a full rebuild. A
-//! frame whose dirty pixel rows exceed half the height (a scene cut) is
-//! rebuilt from scratch instead; that's cheaper than incremental plumbing
-//! once most rows moved anyway.
+//! recomputing precisely the dirty rows with the *same* row-ranged code
+//! the cold path runs over every row (`CellGrid::recompute_rows`,
+//! `FeatureMap::update_rows`, `FeatureMap::scaled_rows_into`, the plane
+//! refresh and the blocked kernels) therefore yields a pyramid — and a
+//! detection list — bit-identical to a full rebuild. The cold path is the
+//! stateless detector's own: `FeaturePyramid::from_base` and one
+//! `scan_level` per level. A frame whose dirty pixel rows exceed half the
+//! height (a scene cut) is rebuilt from scratch instead; that's cheaper
+//! than incremental plumbing once most rows moved anyway.
 
 use std::ops::Range;
 
 use rtped_hog::feature_map::FeatureMap;
 use rtped_hog::grid::CellGrid;
-use rtped_hog::quant::QuantFeatureMap;
+use rtped_hog::pyramid::{FeaturePyramid, PyramidLevel};
 use rtped_image::GrayImage;
 use rtped_svm::{LinearSvm, QuantModel};
 
-use crate::detector::{
-    scan_level_rows, Detection, DetectorConfig, LevelGeometry, RowScorer, PAR_MIN_WINDOWS,
-};
-use crate::nms::non_maximum_suppression;
+use crate::detector::{scan_level, suppress, Detection, DetectorConfig, LevelScan};
 
 /// Counters describing how the temporal cache served its frames.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,19 +48,12 @@ pub struct TemporalStats {
     pub unchanged: u64,
 }
 
-/// One cached pyramid level: its features, the datapath-specific scoring
-/// plane derived from them, and the pre-NMS hits of every window row.
+/// One cached pyramid level: its scale and features, and the scan that
+/// holds the scoring plane and the pre-NMS hits of every window row.
 #[derive(Debug)]
 struct CachedLevel {
-    scale: f64,
-    features: FeatureMap,
-    /// Preconverted f64 plane (f32 datapath only).
-    raw64: Option<Vec<f64>>,
-    /// Quantized plane (i16 datapath only).
-    qmap: Option<QuantFeatureMap>,
-    geom: Option<LevelGeometry>,
-    /// Pre-NMS detections per window row (empty when `geom` is `None`).
-    row_hits: Vec<Vec<Detection>>,
+    level: PyramidLevel,
+    scan: LevelScan,
 }
 
 /// The temporal state of one `FeaturePyramidDetector`: the last frame and
@@ -95,42 +87,29 @@ pub(crate) fn detect(
 ) -> Vec<Detection> {
     let mut stats = slot.as_ref().map(|c| c.stats).unwrap_or_default();
     stats.frames += 1;
-    // Spatial-interpolation voting spreads a pixel's vote across cell
-    // *columns and rows*, breaking the row-locality the incremental path
-    // relies on; such configs always rebuild from scratch.
-    let compatible = !config.params.spatial_interpolation()
-        && slot
-            .as_ref()
-            .is_some_and(|c| c.frame.dimensions() == frame.dimensions());
-    if compatible {
-        if let Some(cache) = slot.as_mut() {
+    match slot.as_mut() {
+        Some(cache) if cache.frame.dimensions() == frame.dimensions() => {
             update(cache, frame, model, quant, config, &mut stats);
             cache.stats = stats;
         }
-    } else {
-        let mut cache = build(frame, model, quant, config);
-        stats.full_builds += 1;
-        cache.stats = stats;
-        *slot = Some(cache);
-    }
-    let mut out = Vec::new();
-    if let Some(cache) = slot.as_ref() {
-        for level in &cache.levels {
-            for hits in &level.row_hits {
-                out.extend_from_slice(hits);
-            }
+        _ => {
+            let mut cache = build(frame, model, quant, config);
+            stats.full_builds += 1;
+            cache.stats = stats;
+            *slot = Some(cache);
         }
     }
-    match config.nms_iou {
-        Some(iou) => non_maximum_suppression(out, iou),
-        None => out,
-    }
+    let hits = slot
+        .iter()
+        .flat_map(|cache| &cache.levels)
+        .flat_map(|cached| cached.scan.row_hits.iter().flatten().copied())
+        .collect();
+    suppress(hits, config)
 }
 
 /// Builds the full cache for `frame` — the cold path, also used on scene
-/// cuts. Level construction mirrors `FeaturePyramid::from_base` exactly
-/// (same rounding, same skip rule, same `scale ≈ 1` clone) so the cached
-/// pyramid is the one the stateless detector would build.
+/// cuts. It runs the stateless detector's code: one extraction,
+/// `FeaturePyramid::from_base`, and `scan_level` for every level.
 fn build(
     frame: &GrayImage,
     model: &LinearSvm,
@@ -140,33 +119,12 @@ fn build(
     let params = &config.params;
     let grid = CellGrid::compute(frame, params);
     let base = FeatureMap::from_cell_grid(&grid, params);
-    let (bx, by) = base.cells();
-    let (wc, hc) = params.window_cells();
-    let levels = config
-        .scales
-        .iter()
-        .filter_map(|&scale| {
-            let nx = ((bx as f64 / scale).round() as usize).max(1);
-            let ny = ((by as f64 / scale).round() as usize).max(1);
-            if nx < wc || ny < hc {
-                return None;
-            }
-            let features = if (scale - 1.0).abs() < 1e-9 {
-                base.clone()
-            } else {
-                base.scaled_to(nx, ny)
-            };
-            let mut level = CachedLevel {
-                scale,
-                features,
-                raw64: None,
-                qmap: None,
-                geom: LevelGeometry::for_level((nx, ny), scale, config),
-                row_hits: Vec::new(),
-            };
-            refresh_plane(&mut level, quant.is_some(), None);
-            rescan(&mut level, model, quant, config, None);
-            Some(level)
+    let levels = FeaturePyramid::from_base(&base, &config.scales, params)
+        .into_levels()
+        .into_iter()
+        .filter_map(|level| {
+            let scan = scan_level(&level, model, quant, config)?;
+            Some(CachedLevel { level, scan })
         })
         .collect();
     PyramidCache {
@@ -175,71 +133,6 @@ fn build(
         base,
         levels,
         stats: TemporalStats::default(),
-    }
-}
-
-/// Rebuilds a level's datapath plane — wholly (`rows == None`) or for the
-/// given cell-row range.
-fn refresh_plane(level: &mut CachedLevel, quantized: bool, rows: Option<Range<usize>>) {
-    let (_, cy) = level.features.cells();
-    let rows = rows.unwrap_or(0..cy);
-    if quantized {
-        let qmap = level.qmap.get_or_insert_with(|| {
-            let (nx, ny) = level.features.cells();
-            QuantFeatureMap::new(nx, ny, level.features.bins())
-        });
-        level.features.quantize_rows_into(qmap, rows);
-    } else {
-        let raw64 = level
-            .raw64
-            .get_or_insert_with(|| vec![0.0f64; level.features.as_raw().len()]);
-        crate::kernel::update_rows_f64(raw64, &level.features, rows);
-    }
-}
-
-/// Rescans a level's window rows — all of them (`dirty == None`, banded
-/// like the stateless scan) or exactly the listed dirty rows.
-fn rescan(
-    level: &mut CachedLevel,
-    model: &LinearSvm,
-    quant: Option<&QuantModel>,
-    config: &DetectorConfig,
-    dirty: Option<&[usize]>,
-) {
-    let Some(geom) = level.geom.clone() else {
-        level.row_hits.clear();
-        return;
-    };
-    let (gx, _) = level.features.cells();
-    let f = level.features.cell_features();
-    let scorer = match (quant, &level.qmap, &level.raw64) {
-        (Some(qm), Some(qmap), _) => RowScorer::I16 {
-            qmap,
-            model: qm,
-            wc: geom.wc,
-            hc: geom.hc,
-        },
-        (None, _, Some(raw64)) => RowScorer::F32(crate::kernel::F32Kernel::new(
-            raw64, gx, f, geom.wc, geom.hc, model,
-        )),
-        // refresh_plane always ran first; this arm is unreachable.
-        _ => return,
-    };
-    match dirty {
-        None => level.row_hits = scan_level_rows(&scorer, &geom, config.threshold),
-        Some(rys) => {
-            if rys.len() * geom.cols < PAR_MIN_WINDOWS {
-                for &ry in rys {
-                    level.row_hits[ry] = scorer.row_hits(&geom, config.threshold, ry);
-                }
-            } else {
-                let fresh =
-                    rtped_core::par::map(rys, |&ry| scorer.row_hits(&geom, config.threshold, ry));
-                for (&ry, hits) in rys.iter().zip(fresh) {
-                    level.row_hits[ry] = hits;
-                }
-            }
-        }
     }
 }
 
@@ -329,7 +222,7 @@ fn update(
     }
 
     // Base rows → each level's rows → that level's window rows.
-    for level in &mut cache.levels {
+    for CachedLevel { level, scan } in &mut cache.levels {
         let (_, ny) = level.features.cells();
         let mut dirty_level = vec![false; ny];
         if (level.scale - 1.0).abs() < 1e-9 {
@@ -348,11 +241,9 @@ fn update(
         }
         for r in &level_runs {
             cache.base.scaled_rows_into(&mut level.features, r.clone());
-            refresh_plane(level, quant.is_some(), Some(r.clone()));
+            scan.plane.update_rows(&level.features, r.clone());
         }
-        let Some(geom) = level.geom.clone() else {
-            continue;
-        };
+        let geom = &scan.geom;
         // Level rows → window rows: ry covers level rows
         // [ry*stride, ry*stride + hc).
         let mut dirty_ry = vec![false; geom.rows];
@@ -371,7 +262,7 @@ fn update(
             .enumerate()
             .filter_map(|(ry, &d)| d.then_some(ry))
             .collect();
-        rescan(level, model, quant, config, Some(&rys));
+        scan.rescan(&level.features, model, quant, config, &rys);
     }
     cache.frame = frame.clone();
 }

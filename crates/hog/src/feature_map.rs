@@ -9,6 +9,12 @@
 //! That yields 4 × 9 = 36 values per cell and lets a 64×128 window be read
 //! as 8×16 cells × 36 = 4608 features out of 16 memory banks ("16×8 blocks
 //! and each of the blocks has the feature vector of 36 elements", §5).
+//!
+//! Both stages that build a map are row-ranged, like the hardware that
+//! streams one cell row at a time: [`FeatureMap::update_rows`] is the one
+//! block normalization and [`FeatureMap::scaled_rows_into`] the one
+//! bilinear resampler. A full build runs them over every row; the
+//! temporal cache runs them over the rows a frame changed.
 
 use std::ops::Range;
 
@@ -19,9 +25,9 @@ use crate::grid::CellGrid;
 use crate::params::HogParams;
 use crate::quant::{QuantFeatureMap, FEATURE_FRAC_BITS};
 
-/// Resampled maps smaller than this many output values are built serially:
-/// below it, thread-pool coordination costs more than the resampling
-/// itself (the 640×480 regression in `BENCH_detect.json`).
+/// Resampled row spans smaller than this many output values are built
+/// serially: below it, thread-pool coordination costs more than the
+/// resampling itself (the 640×480 regression in `BENCH_detect.json`).
 const PAR_MIN_SCALE_ELEMS: usize = 100_000;
 
 /// The four roles a cell can play inside a 2×2-cell block, in storage order.
@@ -134,11 +140,11 @@ impl FeatureMap {
         Self::extract(&crop, params)
     }
 
-    /// Normalizes an existing [`CellGrid`] into a feature map.
+    /// Normalizes an existing [`CellGrid`] into a feature map: a zeroed
+    /// map plus [`FeatureMap::update_rows`] over every cell row.
     ///
-    /// Blocks are `2×2` cells regardless of `params.block_cells()` — the
-    /// cell-major layout is defined for the canonical block geometry the
-    /// hardware implements.
+    /// Blocks are always `2×2` cells with a 1-cell stride — the block
+    /// geometry the cell-major layout and the hardware are defined for.
     ///
     /// # Panics
     ///
@@ -150,18 +156,54 @@ impl FeatureMap {
             cells_x >= 2 && cells_y >= 2,
             "feature map needs at least 2x2 cells"
         );
-        let bins = grid.bins();
-        let norm = params.norm();
-        let mut data = vec![0.0f32; cells_x * cells_y * 4 * bins];
+        let mut map = Self::zeroed(cells_x, cells_y, grid.bins());
+        map.update_rows(grid, params, 0..cells_y);
+        map
+    }
 
-        // Normalize each physical block once, then scatter its four
-        // normalized cells into their role slots — each interior (cell,
-        // role) slot references exactly one block, so this writes the same
-        // values as normalizing per slot at a quarter of the cost.
+    /// An all-zero map of the given geometry.
+    fn zeroed(cells_x: usize, cells_y: usize, bins: usize) -> Self {
+        Self {
+            cells_x,
+            cells_y,
+            bins,
+            data: vec![0.0f32; cells_x * cells_y * 4 * bins],
+        }
+    }
+
+    /// Writes the normalized features of cell rows `rows` from `grid` in
+    /// place, leaving all other rows untouched.
+    ///
+    /// Cell row `cy` lies in block rows `cy − 1` and `cy` (clamped), so
+    /// each 2×2 block of rows `rows.start − 1 ..= rows.end − 1` is
+    /// normalized once and its four quadrants are scattered to the role
+    /// slots of the covered cells inside `rows`. Edge cells miss some
+    /// covering blocks; their role slots clamp to the nearest valid block,
+    /// whose quadrant for that cell is another slot of the same cell, so
+    /// the scatter has already written it.
+    ///
+    /// A cell row's features depend only on histogram rows `cy − 1 ..=
+    /// cy + 1` (clamped), so callers that know which histogram rows changed
+    /// can refresh exactly the affected feature rows and obtain a map
+    /// bit-identical to a full [`FeatureMap::from_cell_grid`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid does not match this map's dimensions or `rows`
+    /// is out of bounds.
+    pub fn update_rows(&mut self, grid: &CellGrid, params: &HogParams, rows: Range<usize>) {
+        assert_eq!(grid.cells(), (self.cells_x, self.cells_y), "grid mismatch");
+        assert_eq!(grid.bins(), self.bins, "bin count mismatch");
+        assert!(rows.end <= self.cells_y, "cell rows out of bounds");
+        if rows.is_empty() {
+            return;
+        }
+        let (cells_x, cells_y, bins) = (self.cells_x, self.cells_y, self.bins);
+        let norm = params.norm();
         let max_bx = cells_x - 2;
         let max_by = cells_y - 2;
         let mut block = vec![0.0f32; 4 * bins];
-        for by in 0..=max_by {
+        for by in rows.start.saturating_sub(1)..=(rows.end - 1).min(max_by) {
             for bx in 0..=max_bx {
                 // Gather the 2x2 block (cells in row-major order).
                 for (ci, (ox, oy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
@@ -170,25 +212,26 @@ impl FeatureMap {
                 }
                 norm.normalize(&mut block);
                 // Quadrant (qx, qy) belongs to cell (bx+qx, by+qy) in role
-                // qy*2+qx (the role whose block offset is (-qx, -qy)).
-                for qy in 0..2 {
+                // qy*2+qx (the role whose block offset is (-qx, -qy)); only
+                // the quadrants whose cell row lies in `rows` are written.
+                for qy in rows.start.saturating_sub(by)..(rows.end - by).min(2) {
                     for qx in 0..2 {
                         let quadrant = qy * 2 + qx;
                         let dst = (((by + qy) * cells_x + (bx + qx)) * 4 + quadrant) * bins;
-                        data[dst..dst + bins]
+                        self.data[dst..dst + bins]
                             .copy_from_slice(&block[quadrant * bins..(quadrant + 1) * bins]);
                     }
                 }
             }
         }
 
-        // Edge cells miss some covering blocks; their role slots clamp to
-        // the nearest valid block, whose normalized quadrant was already
-        // scattered to an interior slot — copy it from there. (The source
-        // slot is never itself clamped, so ordering is immaterial.)
-        for cy in 0..cells_y {
+        // Clamped edge slots copy the quadrant the scatter wrote for the
+        // same cell. (The source slot is never itself clamped, so ordering
+        // is immaterial.)
+        for cy in rows {
+            let edge_row = cy == 0 || cy == cells_y - 1;
             for cx in 0..cells_x {
-                if cx > 0 && cx < cells_x - 1 && cy > 0 && cy < cells_y - 1 {
+                if !edge_row && cx > 0 && cx < cells_x - 1 {
                     continue;
                 }
                 for role in CellRole::ALL {
@@ -204,58 +247,7 @@ impl FeatureMap {
                     let qy = (cy as isize - by as isize).clamp(0, 1) as usize;
                     let src = (((by + qy) * cells_x + (bx + qx)) * 4 + (qy * 2 + qx)) * bins;
                     let dst = ((cy * cells_x + cx) * 4 + role.index()) * bins;
-                    data.copy_within(src..src + bins, dst);
-                }
-            }
-        }
-
-        Self {
-            cells_x,
-            cells_y,
-            bins,
-            data,
-        }
-    }
-
-    /// Recomputes the normalized features of cell rows `rows` in place from
-    /// `grid`, leaving all other rows untouched.
-    ///
-    /// A cell row's features depend only on histogram rows `cy - 1 ..=
-    /// cy + 1` (clamped), so callers that know which histogram rows changed
-    /// can refresh exactly the affected feature rows and obtain a map
-    /// bit-identical to a full [`FeatureMap::from_cell_grid`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid does not match this map's dimensions or `rows`
-    /// is out of bounds.
-    pub fn update_rows(&mut self, grid: &CellGrid, params: &HogParams, rows: Range<usize>) {
-        assert_eq!(grid.cells(), (self.cells_x, self.cells_y), "grid mismatch");
-        assert_eq!(grid.bins(), self.bins, "bin count mismatch");
-        assert!(rows.end <= self.cells_y, "cell rows out of bounds");
-        let cells_x = self.cells_x;
-        let bins = self.bins;
-        let norm = params.norm();
-        let max_bx = cells_x - 2;
-        let max_by = self.cells_y - 2;
-        let mut block = vec![0.0f32; 4 * bins];
-        for cy in rows {
-            for cx in 0..cells_x {
-                for role in CellRole::ALL {
-                    let (dx, dy) = role.block_offset();
-                    let bx = (cx as isize + dx).clamp(0, max_bx as isize) as usize;
-                    let by = (cy as isize + dy).clamp(0, max_by as isize) as usize;
-                    for (ci, (ox, oy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
-                        let h = grid.histogram(bx + ox, by + oy);
-                        block[ci * bins..(ci + 1) * bins].copy_from_slice(h);
-                    }
-                    norm.normalize(&mut block);
-                    let qx = (cx as isize - bx as isize).clamp(0, 1) as usize;
-                    let qy = (cy as isize - by as isize).clamp(0, 1) as usize;
-                    let quadrant = qy * 2 + qx;
-                    let src = &block[quadrant * bins..(quadrant + 1) * bins];
-                    let dst_base = ((cy * cells_x + cx) * 4 + role.index()) * bins;
-                    self.data[dst_base..dst_base + bins].copy_from_slice(src);
+                    self.data.copy_within(src..src + bins, dst);
                 }
             }
         }
@@ -332,14 +324,11 @@ impl FeatureMap {
     }
 
     /// Bilinearly resamples the feature map to `new_cells_x * new_cells_y`
-    /// cells — the paper's feature down-scaling. Each of the `4 * bins`
-    /// channels is resampled independently with the half-cell-center
-    /// convention (the same mapping the shift-and-add hardware scaler
-    /// approximates).
-    ///
-    /// Output rows are filled in parallel (each output value depends only
-    /// on the source map, so the result is byte-identical for any thread
-    /// count; see `rtped_core::par::for_each_band`).
+    /// cells — the paper's feature down-scaling: a zeroed map plus
+    /// [`FeatureMap::scaled_rows_into`] over every output row. Each of the
+    /// `4 * bins` channels is resampled independently with the
+    /// half-cell-center convention (the same mapping the shift-and-add
+    /// hardware scaler approximates).
     ///
     /// # Panics
     ///
@@ -350,38 +339,13 @@ impl FeatureMap {
             new_cells_x > 0 && new_cells_y > 0,
             "scaled feature map must be non-empty"
         );
-        if (new_cells_x, new_cells_y) == (self.cells_x, self.cells_y) {
-            return self.clone();
-        }
-        let f = self.cell_features();
-        let row_len = new_cells_x * f;
-        let mut data = vec![0.0f32; row_len * new_cells_y];
-        // Band granularity: a few output rows per claim, at most ~4 bands
-        // per worker so uneven costs still balance. Small outputs go
-        // serial: pool coordination would dominate the resampling.
-        let bands = if data.len() < PAR_MIN_SCALE_ELEMS {
-            1
-        } else {
-            (par::threads() * 4).min(new_cells_y).max(1)
-        };
-        let rows_per_band = new_cells_y.div_ceil(bands);
-        par::for_each_band(&mut data, rows_per_band * row_len, |start, band| {
-            let oy0 = start / row_len;
-            for (r, row) in band.chunks_mut(row_len).enumerate() {
-                self.scale_row(new_cells_x, new_cells_y, oy0 + r, row);
-            }
-        });
-        FeatureMap {
-            cells_x: new_cells_x,
-            cells_y: new_cells_y,
-            bins: self.bins,
-            data,
-        }
+        let mut out = Self::zeroed(new_cells_x, new_cells_y, self.bins);
+        self.scaled_rows_into(&mut out, 0..new_cells_y);
+        out
     }
 
     /// Resamples one output row (`oy` of a `new_cells_x * new_cells_y`
-    /// target) into `row`. Shared by [`FeatureMap::scaled_to`] and
-    /// [`FeatureMap::scaled_rows_into`] so both produce identical bits.
+    /// target) into `row`.
     fn scale_row(&self, new_cells_x: usize, new_cells_y: usize, oy: usize, row: &mut [f32]) {
         let f = self.cell_features();
         let rx = self.cells_x as f32 / new_cells_x as f32;
@@ -410,12 +374,17 @@ impl FeatureMap {
         }
     }
 
-    /// Recomputes output rows `rows` of `out` (a map previously produced by
-    /// `self.scaled_to(out.cells())`) in place, serially.
+    /// Resamples this map into output rows `rows` of `out`, in place; `out`
+    /// fixes the target grid. At equal dimensions the rows are copied.
     ///
     /// Each output row reads only its two source rows (see
     /// [`FeatureMap::source_rows`]), so refreshing the rows whose sources
-    /// changed yields a map bit-identical to a fresh `scaled_to` call.
+    /// changed yields a map bit-identical to a fresh
+    /// [`FeatureMap::scaled_to`].
+    ///
+    /// Rows are filled in parallel bands (each output value depends only
+    /// on the source map, so the result is byte-identical for any thread
+    /// count; see `rtped_core::par::for_each_band`); small spans go serial.
     ///
     /// # Panics
     ///
@@ -424,22 +393,33 @@ impl FeatureMap {
         assert_eq!(self.bins, out.bins, "bin count mismatch");
         assert!(rows.end <= out.cells_y, "output rows out of bounds");
         let row_len = out.cells_x * out.cell_features();
+        let span = rows.start * row_len..rows.end * row_len;
         if (out.cells_x, out.cells_y) == (self.cells_x, self.cells_y) {
-            // Identity scale: scaled_to returns a clone, so rows copy over.
-            let span = rows.start * row_len..rows.end * row_len;
             out.data[span.clone()].copy_from_slice(&self.data[span]);
             return;
         }
         let (new_cells_x, new_cells_y) = (out.cells_x, out.cells_y);
-        for oy in rows {
-            let row = &mut out.data[oy * row_len..(oy + 1) * row_len];
-            self.scale_row(new_cells_x, new_cells_y, oy, row);
-        }
+        let dst = &mut out.data[span];
+        // Band granularity: a few output rows per claim, at most ~4 bands
+        // per worker so uneven costs still balance. Small spans go serial:
+        // pool coordination would dominate the resampling.
+        let bands = if dst.len() < PAR_MIN_SCALE_ELEMS {
+            1
+        } else {
+            (par::threads() * 4).min(rows.len())
+        };
+        let rows_per_band = rows.len().div_ceil(bands.max(1));
+        par::for_each_band(dst, rows_per_band * row_len, |start, band| {
+            let oy0 = rows.start + start / row_len;
+            for (r, row) in band.chunks_mut(row_len).enumerate() {
+                self.scale_row(new_cells_x, new_cells_y, oy0 + r, row);
+            }
+        });
     }
 
     /// The two (clamped) source rows that bilinear resampling reads when
     /// producing output row `oy` of a `new_cells_y`-row target from a
-    /// `cells_y`-row source — the exact `y0/y1` indices `scaled_to` uses.
+    /// `cells_y`-row source — the exact `y0/y1` indices resampling uses.
     #[must_use]
     pub fn source_rows(cells_y: usize, new_cells_y: usize, oy: usize) -> (usize, usize) {
         let ry = cells_y as f32 / new_cells_y as f32;
@@ -789,10 +769,52 @@ mod tests {
         );
     }
 
+    /// The normalization oracle, independent of the row-ranged scatter:
+    /// every (cell, role) slot is its clamped 2×2 block, normalized on its
+    /// own.
+    fn per_slot_reference(grid: &CellGrid, params: &HogParams) -> FeatureMap {
+        let (cells_x, cells_y) = grid.cells();
+        let bins = grid.bins();
+        let (max_bx, max_by) = (cells_x - 2, cells_y - 2);
+        let mut data = Vec::with_capacity(cells_x * cells_y * 4 * bins);
+        let mut block = vec![0.0f32; 4 * bins];
+        for cy in 0..cells_y {
+            for cx in 0..cells_x {
+                for role in CellRole::ALL {
+                    let (dx, dy) = role.block_offset();
+                    let bx = (cx as isize + dx).clamp(0, max_bx as isize) as usize;
+                    let by = (cy as isize + dy).clamp(0, max_by as isize) as usize;
+                    for (ci, (ox, oy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
+                        let h = grid.histogram(bx + ox, by + oy);
+                        block[ci * bins..(ci + 1) * bins].copy_from_slice(h);
+                    }
+                    params.norm().normalize(&mut block);
+                    let quadrant = (cy - by) * 2 + (cx - bx);
+                    data.extend_from_slice(&block[quadrant * bins..(quadrant + 1) * bins]);
+                }
+            }
+        }
+        FeatureMap::from_raw(cells_x, cells_y, bins, data)
+    }
+
+    fn bits(map: &FeatureMap) -> Vec<u32> {
+        map.as_raw().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A random frame of whole cells; `levels` sets how many grey values
+    /// it uses (1 gives a flat frame, whose blocks are all zero).
+    fn random_frame(cells_x: usize, cells_y: usize, levels: u32, seed: u64) -> GrayImage {
+        let mut rng = rtped_core::rng::SeedRng::seed_from_u64(seed);
+        let step = 255 / (levels - 1).max(1);
+        GrayImage::from_fn(cells_x * 8, cells_y * 8, |_, _| {
+            (rtped_core::rng::Rng::next_u32(&mut rng) % levels * step) as u8
+        })
+    }
+
     #[test]
     fn update_rows_matches_scatter_build() {
-        // The scatter-based from_cell_grid and the per-slot update_rows
-        // path must produce identical bits — the temporal cache mixes them.
+        // Row-ranged updates from an old map converge on a full build of
+        // the new grid, and both equal the per-slot oracle.
         let p = HogParams::pedestrian();
         let img_a = textured(96, 96);
         let img_b = GrayImage::from_fn(96, 96, |x, y| ((x * 31 + y * 3 + 7) % 256) as u8);
@@ -802,7 +824,8 @@ mod tests {
         map.update_rows(&grid_b, &p, 0..4);
         map.update_rows(&grid_b, &p, 4..9);
         map.update_rows(&grid_b, &p, 9..12);
-        assert_eq!(map, FeatureMap::from_cell_grid(&grid_b, &p));
+        assert_eq!(bits(&map), bits(&FeatureMap::from_cell_grid(&grid_b, &p)));
+        assert_eq!(bits(&map), bits(&per_slot_reference(&grid_b, &p)));
     }
 
     #[test]
@@ -868,6 +891,38 @@ mod tests {
             v.extend((-4i32..=4).map(|ulp| f32::from_bits(tie.to_bits().wrapping_add_signed(ulp))));
         }
         v
+    }
+
+    rtped_core::check! {
+        #![cases = 48]
+        /// `from_cell_grid`, and any sequence of `update_rows` splits that
+        /// covers every row of a new grid starting from an old map, equal
+        /// the per-slot oracle bit for bit — down to 2×2 and 3-row grids.
+        fn row_ranged_normalization_matches_per_slot_reference(
+            cells_x in 2usize..12,
+            cells_y in 2usize..10,
+            levels in rtped_core::check::choice(vec![1u32, 2, 256]),
+            seed in 0u64..u64::MAX,
+            cuts in rtped_core::check::vec_of(0usize..10, 0..5),
+        ) {
+            let p = HogParams::pedestrian();
+            let old = CellGrid::compute(&random_frame(cells_x, cells_y, 256, seed), &p);
+            let new = CellGrid::compute(&random_frame(cells_x, cells_y, levels, seed ^ 1), &p);
+            let want = bits(&per_slot_reference(&new, &p));
+            rtped_core::check_assert_eq!(bits(&FeatureMap::from_cell_grid(&new, &p)), want.clone());
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (cells_y + 1)).collect();
+            bounds.extend([0, cells_y]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let mut splits: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+            let turn = seed as usize % splits.len();
+            splits.rotate_left(turn);
+            let mut map = FeatureMap::from_cell_grid(&old, &p);
+            for rows in splits {
+                map.update_rows(&new, &p, rows);
+            }
+            rtped_core::check_assert_eq!(bits(&map), want);
+        }
     }
 
     rtped_core::check! {

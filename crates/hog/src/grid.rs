@@ -1,4 +1,12 @@
 //! The cell-histogram plane of a whole image.
+//!
+//! Each pixel votes into its owning 8×8 cell only, as in the paper's
+//! streaming hardware (no spatial interpolation between cells). Voting is
+//! therefore row-local: a cell row reads its own pixel rows plus the
+//! one-row halo of the centered difference, and nothing else. One
+//! row-ranged routine fills the grid, whether for a whole frame
+//! ([`CellGrid::compute`]) or for the rows a video frame changed
+//! ([`CellGrid::recompute_rows`]).
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -9,8 +17,8 @@ use crate::cell;
 use crate::gradient::{grad_lut, GradLut, GradientField, GRAD_LUT_SPAN};
 use crate::params::HogParams;
 
-/// Precomputed bilinear bin-vote split for the canonical unsigned 9-bin
-/// geometry, indexed like [`GradLut`] by the integer difference pair.
+/// Precomputed bilinear bin-vote split for the unsigned 9-bin geometry,
+/// indexed like [`GradLut`] by the integer difference pair.
 ///
 /// For each `(fx, fy)` it stores the two target bins and the per-bin weight
 /// factors of a unit vote, derived from the LUT angle through the identical
@@ -25,7 +33,7 @@ struct VoteLut {
 
 impl VoteLut {
     fn build(bin_width: f32) -> VoteLut {
-        let ang = &grad_lut(false).ang;
+        let ang = &grad_lut().ang;
         let n = GRAD_LUT_SPAN * GRAD_LUT_SPAN;
         let mut lut = VoteLut {
             lo: vec![0u8; n],
@@ -46,7 +54,7 @@ impl VoteLut {
     }
 }
 
-/// The process-wide vote table for the canonical geometry.
+/// The process-wide vote table.
 fn vote_lut(bin_width: f32) -> &'static VoteLut {
     static LUT: OnceLock<VoteLut> = OnceLock::new();
     LUT.get_or_init(|| VoteLut::build(bin_width))
@@ -80,12 +88,12 @@ pub struct CellGrid {
 impl CellGrid {
     /// Computes cell histograms for `img` under `params`.
     ///
-    /// Without spatial interpolation the gradient and voting stages are
-    /// fused: differences are looked up in the gradient table and votes are
-    /// accumulated straight into the owning cell, skipping the intermediate
-    /// magnitude/orientation planes entirely. The result is bit-identical
-    /// to `from_gradients(&GradientField::compute(img, ..), ..)` because
-    /// the per-cell pixel visiting order and every float expression are
+    /// The gradient and voting stages are fused: differences are looked up
+    /// in the gradient table and votes are accumulated straight into the
+    /// owning cell, skipping the intermediate magnitude/orientation planes
+    /// entirely. The result is bit-identical to
+    /// `from_gradients(&GradientField::compute(img), ..)` because the
+    /// per-cell pixel visiting order and every float expression are
     /// unchanged.
     ///
     /// # Panics
@@ -93,10 +101,6 @@ impl CellGrid {
     /// Panics if the image is smaller than one cell.
     #[must_use]
     pub fn compute(img: &GrayImage, params: &HogParams) -> Self {
-        if params.spatial_interpolation() {
-            let field = GradientField::compute(img, params.signed());
-            return Self::from_gradients(&field, params);
-        }
         let cs = params.cell_size();
         let cells_x = img.width() / cs;
         let cells_y = img.height() / cs;
@@ -118,22 +122,16 @@ impl CellGrid {
     /// Recomputes the histograms of cell rows `rows` in place from `img`,
     /// leaving all other rows untouched.
     ///
-    /// Voting without spatial interpolation is row-local (each pixel votes
-    /// only into its owning cell), so recomputing a row range from the new
-    /// frame yields exactly the histograms a full [`CellGrid::compute`]
-    /// would produce — the temporal pyramid cache relies on this.
+    /// Voting is row-local (each pixel votes only into its owning cell),
+    /// so recomputing a row range from the new frame yields exactly the
+    /// histograms a full [`CellGrid::compute`] would produce — the
+    /// temporal pyramid cache relies on this.
     ///
     /// # Panics
     ///
-    /// Panics if `params` enables spatial interpolation (votes then leak
-    /// across rows and row-ranged recomputation would be unsound), if the
-    /// image's grid size does not match this grid, or if `rows` is out of
-    /// bounds.
+    /// Panics if the image's grid size does not match this grid or `rows`
+    /// is out of bounds.
     pub fn recompute_rows(&mut self, img: &GrayImage, params: &HogParams, rows: Range<usize>) {
-        assert!(
-            !params.spatial_interpolation(),
-            "row-ranged recompute requires cell-local voting"
-        );
         let cs = params.cell_size();
         assert_eq!(
             (img.width() / cs, img.height() / cs),
@@ -153,10 +151,8 @@ impl CellGrid {
     fn vote_rows(&mut self, img: &GrayImage, params: &HogParams, rows: Range<usize>) {
         let cs = params.cell_size();
         let bins = self.bins;
-        let bin_width = params.bin_width();
-        let lut = grad_lut(params.signed());
-        let canonical = !params.signed() && bins == 9;
-        let vlut = canonical.then(|| vote_lut(bin_width));
+        let lut = grad_lut();
+        let vlut = vote_lut(params.bin_width());
         let raw = img.as_raw();
         let (w, h) = img.dimensions();
         for cy in rows {
@@ -177,20 +173,18 @@ impl CellGrid {
                         let e = GradLut::index(fx, fy);
                         let mag = lut.mag[e];
                         let hist = &mut self.data[base..base + bins];
-                        if let Some(v) = vlut {
-                            hist[usize::from(v.lo[e])] += mag * v.one_minus_frac[e];
-                            hist[usize::from(v.hi[e])] += mag * v.frac[e];
-                        } else {
-                            cell::vote(hist, lut.ang[e], mag, bin_width);
-                        }
+                        hist[usize::from(vlut.lo[e])] += mag * vlut.one_minus_frac[e];
+                        hist[usize::from(vlut.hi[e])] += mag * vlut.frac[e];
                     }
                 }
             }
         }
     }
 
-    /// Computes cell histograms from a precomputed gradient field
-    /// (exposed so multi-stage pipelines can reuse the gradients).
+    /// Computes cell histograms from a precomputed gradient field: the
+    /// two-stage, hardware-style reference (each pixel votes only into its
+    /// owning cell through [`cell::vote`]) that the fused
+    /// [`CellGrid::compute`] is tested against.
     ///
     /// # Panics
     ///
@@ -208,57 +202,21 @@ impl CellGrid {
         let bin_width = params.bin_width();
         let mut data = vec![0.0f32; cells_x * cells_y * bins];
 
-        if params.spatial_interpolation() {
-            // Dalal-style: each pixel's vote is shared bilinearly among the
-            // (up to) four cells whose centers surround it.
-            for y in 0..cells_y * cs {
-                for x in 0..cells_x * cs {
-                    let mag = field.magnitude(x, y);
-                    if mag == 0.0 {
-                        continue;
-                    }
-                    let angle = field.orientation(x, y);
-                    // Continuous cell coordinates of this pixel.
-                    let cxf = (x as f32 + 0.5) / cs as f32 - 0.5;
-                    let cyf = (y as f32 + 0.5) / cs as f32 - 0.5;
-                    let cx0 = cxf.floor() as isize;
-                    let cy0 = cyf.floor() as isize;
-                    let tx = cxf - cx0 as f32;
-                    let ty = cyf - cy0 as f32;
-                    for (dcx, dcy, w) in [
-                        (0isize, 0isize, (1.0 - tx) * (1.0 - ty)),
-                        (1, 0, tx * (1.0 - ty)),
-                        (0, 1, (1.0 - tx) * ty),
-                        (1, 1, tx * ty),
-                    ] {
-                        let cx = cx0 + dcx;
-                        let cy = cy0 + dcy;
-                        if cx < 0 || cy < 0 || cx >= cells_x as isize || cy >= cells_y as isize {
+        for cy in 0..cells_y {
+            for cx in 0..cells_x {
+                let base = (cy * cells_x + cx) * bins;
+                for py in cy * cs..(cy + 1) * cs {
+                    for px in cx * cs..(cx + 1) * cs {
+                        let mag = field.magnitude(px, py);
+                        if mag == 0.0 {
                             continue;
                         }
-                        let base = (cy as usize * cells_x + cx as usize) * bins;
-                        cell::vote(&mut data[base..base + bins], angle, mag * w, bin_width);
-                    }
-                }
-            }
-        } else {
-            // Hardware-style: each pixel votes only into its owning cell.
-            for cy in 0..cells_y {
-                for cx in 0..cells_x {
-                    let base = (cy * cells_x + cx) * bins;
-                    for py in cy * cs..(cy + 1) * cs {
-                        for px in cx * cs..(cx + 1) * cs {
-                            let mag = field.magnitude(px, py);
-                            if mag == 0.0 {
-                                continue;
-                            }
-                            cell::vote(
-                                &mut data[base..base + bins],
-                                field.orientation(px, py),
-                                mag,
-                                bin_width,
-                            );
-                        }
+                        cell::vote(
+                            &mut data[base..base + bins],
+                            field.orientation(px, py),
+                            mag,
+                            bin_width,
+                        );
                     }
                 }
             }
@@ -367,11 +325,11 @@ mod tests {
 
     #[test]
     fn energy_is_conserved_across_cells() {
-        // Without spatial interpolation, the sum over all cell histograms
-        // equals the sum of magnitudes over all covered pixels.
+        // Each pixel votes into one cell, so the sum over all cell
+        // histograms equals the sum of magnitudes over all covered pixels.
         let img = GrayImage::from_fn(32, 32, |x, y| ((x * 7 + y * 13) % 256) as u8);
         let p = HogParams::builder().window(32, 32).build().unwrap();
-        let field = GradientField::compute(&img, false);
+        let field = GradientField::compute(&img);
         let grid = CellGrid::from_gradients(&field, &p);
         let total_mag: f32 = (0..32)
             .flat_map(|y| (0..32).map(move |x| (x, y)))
@@ -381,52 +339,20 @@ mod tests {
     }
 
     #[test]
-    fn spatial_interpolation_conserves_interior_energy() {
-        // With bilinear sharing, votes near borders are partially clipped,
-        // so total energy is <= the plain sum but > half of it.
-        let img = GrayImage::from_fn(64, 64, |x, y| ((x * 3 + y * 5) % 256) as u8);
-        let p_plain = HogParams::builder().window(64, 64).build().unwrap();
-        let p_interp = HogParams::builder()
-            .window(64, 64)
-            .spatial_interpolation(true)
-            .build()
-            .unwrap();
-        let plain = CellGrid::compute(&img, &p_plain);
-        let interp = CellGrid::compute(&img, &p_interp);
-        assert!(interp.total_energy() <= plain.total_energy() + 1e-3);
-        assert!(interp.total_energy() > 0.5 * plain.total_energy());
-    }
-
-    #[test]
     fn histograms_are_nonnegative() {
         let img = GrayImage::from_fn(64, 128, |x, y| ((x * x + y * 3) % 256) as u8);
-        for interp in [false, true] {
-            let p = HogParams::builder()
-                .spatial_interpolation(interp)
-                .build()
-                .unwrap();
-            let grid = CellGrid::compute(&img, &p);
-            assert!(grid.as_raw().iter().all(|&v| v >= -1e-6));
-        }
+        let grid = CellGrid::compute(&img, &params());
+        assert!(grid.as_raw().iter().all(|&v| v >= -1e-6));
     }
 
     #[test]
     fn fused_compute_is_bit_identical_to_gradient_path() {
         let img = GrayImage::from_fn(72, 56, |x, y| ((x * 5 + y * 11 + (x * y) % 7) % 256) as u8);
-        // Canonical (vote LUT), non-canonical bins, and signed orientation
-        // all take the fused path; each must equal the two-stage reference.
-        for (bins, signed) in [(9usize, false), (7, false), (9, true)] {
-            let p = HogParams::builder()
-                .window(64, 48)
-                .bins(bins)
-                .signed(signed)
-                .build()
-                .unwrap();
-            let fused = CellGrid::compute(&img, &p);
-            let field = GradientField::compute(&img, p.signed());
-            let reference = CellGrid::from_gradients(&field, &p);
-            assert_eq!(fused, reference, "bins={bins} signed={signed}");
-        }
+        // The fused vote-table path must equal the two-stage reference.
+        let p = HogParams::builder().window(64, 48).build().unwrap();
+        let fused = CellGrid::compute(&img, &p);
+        let reference = CellGrid::from_gradients(&GradientField::compute(&img), &p);
+        assert_eq!(fused, reference);
     }
 
     #[test]
@@ -440,18 +366,6 @@ mod tests {
         grid.recompute_rows(&b, &p, 0..2);
         grid.recompute_rows(&b, &p, 5..8);
         assert_eq!(grid, CellGrid::compute(&b, &p));
-    }
-
-    #[test]
-    #[should_panic(expected = "cell-local voting")]
-    fn recompute_rows_rejects_spatial_interpolation() {
-        let p = HogParams::builder()
-            .spatial_interpolation(true)
-            .build()
-            .unwrap();
-        let img = GrayImage::new(64, 128);
-        let mut grid = CellGrid::compute(&img, &p);
-        grid.recompute_rows(&img, &p, 0..1);
     }
 
     #[test]

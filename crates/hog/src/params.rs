@@ -4,11 +4,22 @@ use rtped_core::Error;
 
 use crate::block::NormKind;
 
+/// Cell side in pixels: the paper's 8×8-pixel cells.
+const CELL_SIZE: usize = 8;
+
+/// Orientation bins per cell: 9 unsigned bins over `[0, π)`.
+const BINS: usize = 9;
+
+/// Block side in cells: every block is 2×2 cells with a 1-cell stride.
+const BLOCK_CELLS: usize = 2;
+
 /// Parameters of the HOG extractor and window geometry.
 ///
-/// Defaults follow Dalal & Triggs and the paper's hardware: 8×8-pixel
-/// cells, 2×2-cell blocks with 1-cell stride, 9 unsigned orientation bins,
-/// L2-Hys normalization, and a 64×128-pixel detection window (8×16 cells).
+/// The extractor geometry is fixed to Dalal & Triggs and the paper's
+/// hardware: 8×8-pixel cells, 2×2-cell blocks with 1-cell stride and 9
+/// unsigned orientation bins. Two things are configurable: the block
+/// normalization scheme (L2-Hys by default) and the detection window
+/// (64×128 pixels, 8×16 cells, by default).
 ///
 /// Construct with [`HogParams::pedestrian`] or the [`HogParamsBuilder`]:
 ///
@@ -16,20 +27,14 @@ use crate::block::NormKind;
 /// use rtped_hog::params::HogParams;
 ///
 /// # fn main() -> Result<(), rtped_core::Error> {
-/// let params = HogParams::builder().cell_size(4).window(32, 64).build()?;
-/// assert_eq!(params.window_cells(), (8, 16));
+/// let params = HogParams::builder().window(32, 64).build()?;
+/// assert_eq!(params.window_cells(), (4, 8));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct HogParams {
-    cell_size: usize,
-    block_cells: usize,
-    block_stride_cells: usize,
-    bins: usize,
-    signed: bool,
     norm: NormKind,
-    spatial_interpolation: bool,
     window_width: usize,
     window_height: usize,
 }
@@ -49,49 +54,22 @@ impl HogParams {
         HogParamsBuilder::new()
     }
 
-    /// Cell side in pixels (cells are square).
+    /// Cell side in pixels (cells are square): always 8.
     #[must_use]
     pub fn cell_size(&self) -> usize {
-        self.cell_size
+        CELL_SIZE
     }
 
-    /// Block side in cells (blocks are square; 2 means 2×2 cells).
-    #[must_use]
-    pub fn block_cells(&self) -> usize {
-        self.block_cells
-    }
-
-    /// Block stride in cells (1 gives the standard overlapping blocks).
-    #[must_use]
-    pub fn block_stride_cells(&self) -> usize {
-        self.block_stride_cells
-    }
-
-    /// Number of orientation bins.
+    /// Number of orientation bins: always 9.
     #[must_use]
     pub fn bins(&self) -> usize {
-        self.bins
-    }
-
-    /// `true` for signed orientation `[0, 2π)`, `false` for the unsigned
-    /// `[0, π)` range used for pedestrians.
-    #[must_use]
-    pub fn signed(&self) -> bool {
-        self.signed
+        BINS
     }
 
     /// Block normalization scheme.
     #[must_use]
     pub fn norm(&self) -> NormKind {
         self.norm
-    }
-
-    /// Whether cell votes are bilinearly shared between neighbouring cells
-    /// (Dalal's trilinear interpolation). The paper's streaming hardware
-    /// votes into the owning cell only, so this defaults to `false`.
-    #[must_use]
-    pub fn spatial_interpolation(&self) -> bool {
-        self.spatial_interpolation
     }
 
     /// Detection-window size in pixels `(width, height)`.
@@ -105,16 +83,16 @@ impl HogParams {
     #[must_use]
     pub fn window_cells(&self) -> (usize, usize) {
         (
-            self.window_width / self.cell_size,
-            self.window_height / self.cell_size,
+            self.window_width / CELL_SIZE,
+            self.window_height / CELL_SIZE,
         )
     }
 
     /// Feature count of one cell in the cell-major layout (4 covering
-    /// blocks × bins): 36 for the canonical configuration.
+    /// blocks × 9 bins): 36.
     #[must_use]
     pub fn cell_features(&self) -> usize {
-        4 * self.bins
+        4 * BINS
     }
 
     /// Length of the cell-major window descriptor used by the hardware
@@ -125,15 +103,10 @@ impl HogParams {
         wc * hc * self.cell_features()
     }
 
-    /// Angular width of one orientation bin in radians.
+    /// Angular width of one orientation bin in radians: `π / 9`.
     #[must_use]
     pub fn bin_width(&self) -> f32 {
-        let range = if self.signed {
-            2.0 * std::f32::consts::PI
-        } else {
-            std::f32::consts::PI
-        };
-        range / self.bins as f32
+        std::f32::consts::PI / BINS as f32
     }
 }
 
@@ -146,13 +119,7 @@ impl Default for HogParams {
 /// Builder for [`HogParams`].
 #[derive(Debug, Clone)]
 pub struct HogParamsBuilder {
-    cell_size: usize,
-    block_cells: usize,
-    block_stride_cells: usize,
-    bins: usize,
-    signed: bool,
     norm: NormKind,
-    spatial_interpolation: bool,
     window_width: usize,
     window_height: usize,
 }
@@ -160,64 +127,16 @@ pub struct HogParamsBuilder {
 impl HogParamsBuilder {
     fn new() -> Self {
         Self {
-            cell_size: 8,
-            block_cells: 2,
-            block_stride_cells: 1,
-            bins: 9,
-            signed: false,
             norm: NormKind::default(),
-            spatial_interpolation: false,
             window_width: 64,
             window_height: 128,
         }
-    }
-
-    /// Sets the cell side in pixels.
-    #[must_use]
-    pub fn cell_size(mut self, px: usize) -> Self {
-        self.cell_size = px;
-        self
-    }
-
-    /// Sets the block side in cells.
-    #[must_use]
-    pub fn block_cells(mut self, cells: usize) -> Self {
-        self.block_cells = cells;
-        self
-    }
-
-    /// Sets the block stride in cells.
-    #[must_use]
-    pub fn block_stride_cells(mut self, cells: usize) -> Self {
-        self.block_stride_cells = cells;
-        self
-    }
-
-    /// Sets the orientation bin count.
-    #[must_use]
-    pub fn bins(mut self, bins: usize) -> Self {
-        self.bins = bins;
-        self
-    }
-
-    /// Chooses signed (`[0, 2π)`) or unsigned (`[0, π)`) orientations.
-    #[must_use]
-    pub fn signed(mut self, signed: bool) -> Self {
-        self.signed = signed;
-        self
     }
 
     /// Sets the block normalization scheme.
     #[must_use]
     pub fn norm(mut self, norm: NormKind) -> Self {
         self.norm = norm;
-        self
-    }
-
-    /// Enables bilinear sharing of votes between neighbouring cells.
-    #[must_use]
-    pub fn spatial_interpolation(mut self, enabled: bool) -> Self {
-        self.spatial_interpolation = enabled;
         self
     }
 
@@ -233,56 +152,26 @@ impl HogParamsBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidInput`] when any size is zero, the window
-    /// is not a whole number of cells, the window holds fewer cells than one
-    /// block, or the stride does not tile the window.
+    /// Returns [`Error::InvalidInput`] when the window is not a whole
+    /// number of 8px cells or holds fewer cells than one 2×2 block.
     pub fn build(self) -> Result<HogParams, Error> {
-        if self.cell_size == 0 {
-            return Err(Error::invalid_input(
-                "invalid HOG parameters: cell size must be non-zero",
-            ));
-        }
-        if self.bins == 0 {
-            return Err(Error::invalid_input(
-                "invalid HOG parameters: bin count must be non-zero",
-            ));
-        }
-        if self.block_cells == 0 || self.block_stride_cells == 0 {
-            return Err(Error::invalid_input(
-                "invalid HOG parameters: block size and stride must be non-zero",
-            ));
-        }
-        if !self.window_width.is_multiple_of(self.cell_size)
-            || !self.window_height.is_multiple_of(self.cell_size)
+        if !self.window_width.is_multiple_of(CELL_SIZE)
+            || !self.window_height.is_multiple_of(CELL_SIZE)
         {
             return Err(Error::invalid_input(format!(
-                "invalid HOG parameters: window {}x{} is not a whole number of {}px cells",
-                self.window_width, self.window_height, self.cell_size
+                "invalid HOG parameters: window {}x{} is not a whole number of {CELL_SIZE}px cells",
+                self.window_width, self.window_height
             )));
         }
-        let wc = self.window_width / self.cell_size;
-        let hc = self.window_height / self.cell_size;
-        if wc < self.block_cells || hc < self.block_cells {
+        let wc = self.window_width / CELL_SIZE;
+        let hc = self.window_height / CELL_SIZE;
+        if wc < BLOCK_CELLS || hc < BLOCK_CELLS {
             return Err(Error::invalid_input(format!(
-                "invalid HOG parameters: window of {wc}x{hc} cells cannot hold a {0}x{0}-cell block",
-                self.block_cells
+                "invalid HOG parameters: window of {wc}x{hc} cells cannot hold a {BLOCK_CELLS}x{BLOCK_CELLS}-cell block"
             )));
-        }
-        if !(wc - self.block_cells).is_multiple_of(self.block_stride_cells)
-            || !(hc - self.block_cells).is_multiple_of(self.block_stride_cells)
-        {
-            return Err(Error::invalid_input(
-                "invalid HOG parameters: block stride does not tile the window",
-            ));
         }
         Ok(HogParams {
-            cell_size: self.cell_size,
-            block_cells: self.block_cells,
-            block_stride_cells: self.block_stride_cells,
-            bins: self.bins,
-            signed: self.signed,
             norm: self.norm,
-            spatial_interpolation: self.spatial_interpolation,
             window_width: self.window_width,
             window_height: self.window_height,
         })
@@ -319,51 +208,27 @@ mod tests {
     }
 
     #[test]
-    fn bin_width_signed() {
-        let p = HogParams::builder().signed(true).build().unwrap();
-        assert!((p.bin_width() - 2.0 * std::f32::consts::PI / 9.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn builder_rejects_non_cell_aligned_window() {
         assert!(HogParams::builder().window(65, 128).build().is_err());
     }
 
     #[test]
     fn builder_rejects_zero_sizes() {
-        assert!(HogParams::builder().cell_size(0).build().is_err());
-        assert!(HogParams::builder().bins(0).build().is_err());
-        assert!(HogParams::builder().block_cells(0).build().is_err());
-        assert!(HogParams::builder().block_stride_cells(0).build().is_err());
+        assert!(HogParams::builder().window(0, 0).build().is_err());
+        assert!(HogParams::builder().window(64, 0).build().is_err());
     }
 
     #[test]
     fn builder_rejects_window_smaller_than_block() {
-        assert!(HogParams::builder()
-            .window(8, 8)
-            .block_cells(2)
-            .build()
-            .is_err());
-    }
-
-    #[test]
-    fn builder_rejects_untiled_stride() {
-        // 8x16 cells, 3x3 blocks, stride 2: (8-3) % 2 != 0.
-        assert!(HogParams::builder()
-            .block_cells(3)
-            .block_stride_cells(2)
-            .build()
-            .is_err());
+        assert!(HogParams::builder().window(8, 8).build().is_err());
+        assert!(HogParams::builder().window(16, 8).build().is_err());
     }
 
     #[test]
     fn custom_small_geometry() {
-        let p = HogParams::builder()
-            .cell_size(4)
-            .window(16, 16)
-            .build()
-            .unwrap();
-        assert_eq!(p.window_cells(), (4, 4));
+        let p = HogParams::builder().window(16, 16).build().unwrap();
+        assert_eq!(p.window_cells(), (2, 2));
+        assert_eq!(p.cell_descriptor_len(), 2 * 2 * 36);
     }
 
     #[test]

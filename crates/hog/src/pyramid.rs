@@ -18,24 +18,6 @@ use rtped_image::GrayImage;
 use crate::feature_map::FeatureMap;
 use crate::params::HogParams;
 
-/// A geometric ladder of scale factors `start * step^i`, capped so the
-/// detection window still fits the scaled scene.
-///
-/// # Example
-///
-/// ```
-/// use rtped_hog::pyramid::scale_ladder;
-///
-/// let scales = scale_ladder(1.0, 1.2, 4);
-/// assert_eq!(scales.len(), 4);
-/// assert!((scales[1] - 1.2).abs() < 1e-9);
-/// ```
-#[must_use]
-pub fn scale_ladder(start: f64, step: f64, levels: usize) -> Vec<f64> {
-    assert!(start > 0.0 && step > 1.0, "need start > 0 and step > 1");
-    (0..levels).map(|i| start * step.powi(i as i32)).collect()
-}
-
 /// One level of a pyramid: the scale factor (relative to the native image)
 /// and that level's feature map.
 #[derive(Debug, Clone)]
@@ -107,28 +89,20 @@ pub struct FeaturePyramid {
 }
 
 impl FeaturePyramid {
-    /// Builds the pyramid from a single extraction of `img`.
+    /// Builds the pyramid from the base feature map of a single extraction
+    /// (`FeatureMap::extract` of the native image).
     ///
     /// Mirroring the pipelined hardware (Fig. 6: each down-scaling module
     /// resizes "the HOG feature of prior scale"), every level is derived
     /// from the *base* map by one bilinear resample to the target grid.
     /// Levels too small to hold one detection window are skipped.
     ///
-    /// # Panics
-    ///
-    /// Panics if `scales` contains a non-positive value or the image is
-    /// smaller than one window.
-    #[must_use]
-    pub fn build(img: &GrayImage, scales: &[f64], params: &HogParams) -> Self {
-        let base = FeatureMap::extract(img, params);
-        Self::from_base(&base, scales, params)
-    }
-
-    /// Builds the pyramid from an existing base feature map (exposed so
-    /// the hardware model and detectors can share the extraction).
-    ///
-    /// Levels are down-sampled from the base in parallel and collected in
-    /// input-scale order — byte-identical to a serial build.
+    /// Levels are built one after another, in input-scale order, on the
+    /// calling thread; each resample fans its rows out across cores itself
+    /// (`FeatureMap::scaled_rows_into`). Building levels concurrently on
+    /// top of that nests thread pools, and it raised the temporal cache's
+    /// peak RSS: its long-lived levels landed in worker threads' allocator
+    /// arenas.
     ///
     /// # Panics
     ///
@@ -137,23 +111,23 @@ impl FeaturePyramid {
     pub fn from_base(base: &FeatureMap, scales: &[f64], params: &HogParams) -> Self {
         let (wc, hc) = params.window_cells();
         let (bx, by) = base.cells();
-        let levels = par::map(scales, |&scale| {
-            assert!(scale > 0.0, "scales must be positive");
-            let nx = ((bx as f64 / scale).round() as usize).max(1);
-            let ny = ((by as f64 / scale).round() as usize).max(1);
-            if nx < wc || ny < hc {
-                return None;
-            }
-            let features = if (scale - 1.0).abs() < 1e-9 {
-                base.clone()
-            } else {
-                base.scaled_to(nx, ny)
-            };
-            Some(PyramidLevel { scale, features })
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let levels = scales
+            .iter()
+            .filter_map(|&scale| {
+                assert!(scale > 0.0, "scales must be positive");
+                let nx = ((bx as f64 / scale).round() as usize).max(1);
+                let ny = ((by as f64 / scale).round() as usize).max(1);
+                if nx < wc || ny < hc {
+                    return None;
+                }
+                let features = if (scale - 1.0).abs() < 1e-9 {
+                    base.clone()
+                } else {
+                    base.scaled_to(nx, ny)
+                };
+                Some(PyramidLevel { scale, features })
+            })
+            .collect();
         Self { levels }
     }
 
@@ -161,6 +135,13 @@ impl FeaturePyramid {
     #[must_use]
     pub fn levels(&self) -> &[PyramidLevel] {
         &self.levels
+    }
+
+    /// Takes the built levels by value (lets a cache keep them without a
+    /// copy).
+    #[must_use]
+    pub fn into_levels(self) -> Vec<PyramidLevel> {
+        self.levels
     }
 }
 
@@ -177,17 +158,8 @@ mod tests {
         GrayImage::from_fn(w, h, |x, y| ((x * 11 + y * 23 + (x * y) % 29) % 256) as u8)
     }
 
-    #[test]
-    fn scale_ladder_is_geometric() {
-        let s = scale_ladder(1.0, 1.5, 3);
-        assert_eq!(s.len(), 3);
-        assert!((s[2] - 2.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "need start > 0 and step > 1")]
-    fn scale_ladder_rejects_bad_step() {
-        let _ = scale_ladder(1.0, 1.0, 3);
+    fn feature_pyramid(img: &GrayImage, scales: &[f64], p: &HogParams) -> FeaturePyramid {
+        FeaturePyramid::from_base(&FeatureMap::extract(img, p), scales, p)
     }
 
     #[test]
@@ -204,7 +176,7 @@ mod tests {
     fn feature_pyramid_levels_shrink() {
         let p = HogParams::pedestrian();
         let img = textured(256, 512);
-        let pyr = FeaturePyramid::build(&img, &[1.0, 2.0], &p);
+        let pyr = feature_pyramid(&img, &[1.0, 2.0], &p);
         assert_eq!(pyr.levels().len(), 2);
         assert_eq!(pyr.levels()[0].features.cells(), (32, 64));
         assert_eq!(pyr.levels()[1].features.cells(), (16, 32));
@@ -217,7 +189,7 @@ mod tests {
         let img = textured(128, 256);
         let ip = ImagePyramid::build(&img, &[1.0, 2.0, 4.0], &p);
         assert_eq!(ip.levels().len(), 2);
-        let fp = FeaturePyramid::build(&img, &[1.0, 2.0, 4.0], &p);
+        let fp = feature_pyramid(&img, &[1.0, 2.0, 4.0], &p);
         assert_eq!(fp.levels().len(), 2);
     }
 
@@ -226,7 +198,7 @@ mod tests {
         let p = HogParams::pedestrian();
         let img = textured(128, 256);
         let ip = ImagePyramid::build(&img, &[1.0], &p);
-        let fp = FeaturePyramid::build(&img, &[1.0], &p);
+        let fp = feature_pyramid(&img, &[1.0], &p);
         assert_eq!(ip.levels()[0].features, fp.levels()[0].features);
     }
 
@@ -239,7 +211,7 @@ mod tests {
         let img = textured(192, 384);
         let scale = 1.5;
         let ip = ImagePyramid::build(&img, &[scale], &p);
-        let fp = FeaturePyramid::build(&img, &[scale], &p);
+        let fp = feature_pyramid(&img, &[scale], &p);
         let a = ip.levels()[0].features.as_raw();
         let b = fp.levels()[0].features.as_raw();
         assert_eq!(
@@ -259,7 +231,7 @@ mod tests {
         let p = HogParams::pedestrian();
         let img = textured(256, 512);
         let scales = [1.0, 1.3, 1.69];
-        let fp = FeaturePyramid::build(&img, &scales, &p);
+        let fp = feature_pyramid(&img, &scales, &p);
         for (level, &expected) in fp.levels().iter().zip(&scales) {
             assert!((level.scale - expected).abs() < 1e-12);
         }

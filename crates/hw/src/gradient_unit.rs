@@ -220,7 +220,7 @@ mod tests {
                     continue;
                 }
                 let hw = vote_from_gradient(fx, fy);
-                let angle = fold_angle((f32::from(fy)).atan2(f32::from(fx)), false);
+                let angle = fold_angle((f32::from(fy)).atan2(f32::from(fx)));
                 let ((fa, wa), (fb, wb)) = split_vote(angle, 1.0, 9, bin_width);
                 let float_dominant = if wa >= wb { fa } else { fb };
                 let hw_dominant = if hw.weight_lo >= 128 {
@@ -250,7 +250,7 @@ mod tests {
         use rtped_hog::gradient::GradientField;
         let img = GrayImage::from_fn(12, 12, |x, y| ((x * x + y * 3) % 256) as u8);
         let unit = GradientUnit::new();
-        let float_field = GradientField::compute(&img, false);
+        let float_field = GradientField::compute(&img);
         for y in 0..12 {
             for x in 0..12 {
                 let (fx, fy) = unit.gradient(&img, x, y);

@@ -84,22 +84,6 @@ impl IntegrityConfig {
             watchdog: false,
         }
     }
-
-    /// [`IntegrityConfig::full`] with the ECC mode taken from the
-    /// `RTPED_ECC` environment variable. A malformed value warns once on
-    /// stderr and keeps SECDED (the protective default).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut config = Self::full();
-        match rtped_core::env::typed::<EccMode>(ECC_ENV) {
-            rtped_core::env::EnvValue::Unset => {}
-            rtped_core::env::EnvValue::Valid { value, .. } => config.ecc = value,
-            rtped_core::env::EnvValue::Invalid { raw } => {
-                rtped_core::env::warn_once(ECC_ENV, &raw, "secded");
-            }
-        }
-        config
-    }
 }
 
 impl Default for IntegrityConfig {

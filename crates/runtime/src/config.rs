@@ -401,8 +401,8 @@ mod tests {
 
     #[test]
     fn env_overrides_resolve_once_at_construction() {
-        // Serialized env mutation: RTPED_DEADLINE_MS is shared with the
-        // deadline module's test, so both take the crate-wide lock.
+        // Serialized env mutation: every test that sets a variable takes
+        // the crate-wide lock.
         let _guard = crate::test_env::lock();
         std::env::set_var(DEADLINE_ENV, "7.5");
         std::env::set_var(rtped_core::par::THREADS_ENV, "3");
@@ -428,6 +428,11 @@ mod tests {
         assert_eq!(fallback.ecc, EccMode::Secded);
         assert_eq!(fallback.datapath, Datapath::F32);
         assert!(!fallback.temporal);
+
+        // An unparsable deadline keeps the default too.
+        std::env::set_var(DEADLINE_ENV, "not-a-number");
+        let unparsable = RuntimeConfig::from_env();
+        assert!((unparsable.budget.frame_budget_ms - 15.0).abs() < 1e-12);
 
         std::env::remove_var(DEADLINE_ENV);
         std::env::remove_var(rtped_core::par::THREADS_ENV);

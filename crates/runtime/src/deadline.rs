@@ -11,7 +11,8 @@
 //! adopts the same contract: a frame's compute budget is
 //! [`PRT_FRACTION`] (1%) of the PRT — **15 ms** with default
 //! [`DasParams`]. Operators can override it with the `RTPED_DEADLINE_MS`
-//! environment variable ([`DEADLINE_ENV`]).
+//! environment variable ([`DEADLINE_ENV`]), which
+//! `RuntimeConfigBuilder::env_overrides` reads.
 //!
 //! # Why a *modeled* cost, not the wall clock
 //!
@@ -61,31 +62,6 @@ impl DeadlineBudget {
     #[must_use]
     pub fn from_das(das: &DasParams) -> Self {
         Self::from_ms(das.reaction_time_s * 1000.0 * PRT_FRACTION)
-    }
-
-    /// [`DeadlineBudget::from_das`] unless `RTPED_DEADLINE_MS` holds a
-    /// positive number, which then wins. An unparsable or non-positive
-    /// value is ignored with a once-per-process stderr warning, so a
-    /// typo'd override degrades loudly to the derived default instead of
-    /// silently changing the deadline.
-    #[must_use]
-    pub fn from_env_or_das(das: &DasParams) -> Self {
-        let fallback = Self::from_das(das);
-        match rtped_core::env::typed::<f64>(DEADLINE_ENV) {
-            rtped_core::env::EnvValue::Valid { value, .. } if value.is_finite() && value > 0.0 => {
-                Self::from_ms(value)
-            }
-            rtped_core::env::EnvValue::Valid { raw, .. }
-            | rtped_core::env::EnvValue::Invalid { raw } => {
-                rtped_core::env::warn_once(
-                    DEADLINE_ENV,
-                    &raw,
-                    &format!("{} ms", fallback.frame_budget_ms),
-                );
-                fallback
-            }
-            rtped_core::env::EnvValue::Unset => fallback,
-        }
     }
 }
 
@@ -172,23 +148,6 @@ mod tests {
     fn default_budget_is_one_percent_of_prt() {
         let budget = DeadlineBudget::from_das(&DasParams::default());
         assert!((budget.frame_budget_ms - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn env_override_wins_when_positive() {
-        // Serialized env mutation: RTPED_DEADLINE_MS is shared with the
-        // config module's test, so both take the crate-wide lock.
-        let _guard = crate::test_env::lock();
-        std::env::set_var(DEADLINE_ENV, "42.5");
-        let budget = DeadlineBudget::from_env_or_das(&DasParams::default());
-        assert!((budget.frame_budget_ms - 42.5).abs() < 1e-12);
-        std::env::set_var(DEADLINE_ENV, "not-a-number");
-        let fallback = DeadlineBudget::from_env_or_das(&DasParams::default());
-        assert!((fallback.frame_budget_ms - 15.0).abs() < 1e-12);
-        std::env::set_var(DEADLINE_ENV, "-3");
-        let negative = DeadlineBudget::from_env_or_das(&DasParams::default());
-        assert!((negative.frame_budget_ms - 15.0).abs() < 1e-12);
-        std::env::remove_var(DEADLINE_ENV);
     }
 
     #[test]

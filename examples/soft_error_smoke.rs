@@ -15,7 +15,7 @@ use rtped::core::ToJson;
 use rtped::hw::integrity::IntegrityConfig;
 use rtped::hw::{AcceleratorConfig, EccMode};
 use rtped::image::GrayImage;
-use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime};
+use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime, RuntimeConfig};
 use rtped::svm::LinearSvm;
 
 fn main() {
@@ -30,10 +30,11 @@ fn main() {
         ..AcceleratorConfig::default()
     };
     // `RTPED_ECC=off` runs the unprotected-memory ablation; everything
-    // else (checked MACBAR, lockstep, watchdog) stays armed.
-    let integrity = IntegrityConfig::from_env();
-    let ecc = integrity.ecc;
-    let mut runtime = IntegrityRuntime::new(model, config, integrity);
+    // else (checked MACBAR, lockstep, watchdog) stays armed. The runtime
+    // config is the one reader of the environment.
+    let mut runtime = IntegrityRuntime::new(model, config, IntegrityConfig::full())
+        .with_runtime_config(&RuntimeConfig::from_env());
+    let ecc = runtime.integrity_config().ecc;
 
     // 20 synthetic frames; every frame takes a soft-error dose.
     let frames: Vec<GrayImage> = (0..20)
