@@ -69,7 +69,7 @@ if ! grep -q '"correct":true' <<<"$das_result"; then
     exit 1
 fi
 
-echo "== miri (best-effort: UB verification of the unsafe par core + wire framing) =="
+echo "== miri (best-effort: UB check of the par tests, which reach wide's AVX2 trampoline, + wire framing) =="
 if cargo +nightly miri --version >/dev/null 2>&1; then
     # Hard gate when available: any UB report fails CI.
     cargo +nightly miri test --offline -p rtped-core --lib -- par:: wire::
@@ -161,11 +161,22 @@ echo "== results_throughput.txt regen check (the 1,200,420-cycle HDTV schedule i
 cargo run --release --offline -p rtped-bench --bin throughput 2>/dev/null | diff - results_throughput.txt
 
 echo "== accuracy quick-run regen checks (extraction, resampling and renormalization are byte-stable) =="
-# crossover has no quick mode (minutes) and scene_ap prints wall-clock ms,
-# so neither is diffed here.
+# scene_ap prints wall-clock ms, so it is not diffed here. crossover has
+# no quick mode; its small-count run below is the quick artifact.
 for bin in table1 figure4 ablation_norm ablation_quantization; do
     RTPED_QUICK=1 cargo run --release --offline -p rtped-bench --bin "$bin" 2>/dev/null \
         | diff - "results_$bin.quick.txt"
+done
+RTPED_COUNTS=60,180,30,120 RTPED_NOISE=12 \
+    cargo run --release --offline -p rtped-bench --bin crossover 2>/dev/null \
+    | diff - results_crossover.quick.txt
+
+echo "== experiment-level parallel == serial (quick accuracy runs byte-identical at RTPED_THREADS=1 and 3) =="
+for threads in 1 3; do
+    for bin in figure4 ablation_norm; do
+        RTPED_THREADS=$threads RTPED_QUICK=1 ./target/release/"$bin" 2>/dev/null \
+            | diff - "results_$bin.quick.txt"
+    done
 done
 
 echo "== BENCH_hw_shard.json regen check (cycle model is byte-stable) =="

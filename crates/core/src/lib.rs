@@ -18,8 +18,9 @@
 //! - [`timer`]: a wall-clock micro-benchmark harness for the
 //!   `bench_detect` harness binary — replaces `criterion`.
 //! - [`par`]: scoped-thread data-parallel primitives (order-preserving
-//!   `map`, chunked `map_chunks`, in-place `for_each_band`) with an
-//!   `RTPED_THREADS` override — replaces `rayon`.
+//!   `map`/`try_map` and in-place `for_each_band`, both on one safe
+//!   work-claiming loop) with an `RTPED_THREADS` override — replaces
+//!   `rayon`.
 //! - [`retry`]: bounded retry-with-backoff ([`retry::RetryPolicy`]) for
 //!   transient IO failures.
 //! - [`env`](mod@env): typed, warn-once environment-variable parsing shared by

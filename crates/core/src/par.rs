@@ -7,16 +7,19 @@
 //! `std::thread::scope` — no extra dependencies, deterministic output
 //! ordering, and a thread-count override for benchmarking and tests.
 //!
-//! Three primitives cover the workspace's shapes of parallelism:
+//! Two primitives cover the workspace's shapes of parallelism:
 //!
-//! - [`map`]: element-wise map with order-preserving output (pyramid
-//!   levels, frames, dataset windows). Work is claimed in contiguous
-//!   index chunks so one atomic RMW amortizes over many items.
-//! - [`map_chunks`]: map over *contiguous runs* of the input — the right
-//!   granularity when individual items are too cheap to claim one by one
-//!   (window positions along a row band).
+//! - [`map`] / [`try_map`]: element-wise map with order-preserving output
+//!   (pyramid levels, frames, fleet runs). Work is claimed in contiguous
+//!   runs of items so one claim amortizes over many items.
 //! - [`for_each_band`]: in-place fill of disjoint bands of an output
-//!   buffer (feature-map resampling writes each output row exactly once).
+//!   buffer (feature-map resampling writes each output row exactly once;
+//!   the level scan fills each window row's hits).
+//!
+//! Both run on one safe work-claiming loop: workers pop disjoint
+//! `&mut` bands off a mutex-guarded `chunks_mut` queue, so no raw pointer
+//! crosses a thread. [`run_workers`] is the long-lived pool for daemon and
+//! client loops.
 //!
 //! [`wide`] covers the other axis: it runs one kernel at AVX2 vector
 //! width on x86-64 CPUs that have it.
@@ -26,9 +29,9 @@
 //! All entry points size their worker pool from [`threads`]: the
 //! `RTPED_THREADS` environment variable when set (clamped to
 //! `1..=MAX_THREADS`), otherwise `std::thread::available_parallelism`.
-//! `RTPED_THREADS=1` forces the serial path everywhere, which is how the
-//! benchmarks time serial baselines and how the determinism tests pin
-//! both sides of a comparison.
+//! `RTPED_THREADS=1` runs the same loop on the caller's thread, which is
+//! how the benchmarks time serial baselines and how the determinism tests
+//! pin both sides of a comparison.
 //!
 //! # Determinism
 //!
@@ -41,18 +44,16 @@
 //! Worker bodies run under `catch_unwind`, so a panicking closure can
 //! never take the whole pool down silently: [`try_map`] reports the
 //! panic as a typed [`MapPanic`] (item index plus the payload text), and
-//! [`map`] re-panics with that same message — callers see the original
-//! payload text instead of the scope's opaque "a scoped thread
-//! panicked". Once a panic is observed the remaining workers stop
-//! claiming work, and every already-computed result is dropped, so the
-//! error path neither deadlocks nor leaks.
+//! [`map`] and [`for_each_band`] re-panic with that same message —
+//! callers see the original payload text instead of the scope's opaque
+//! "a scoped thread panicked". Once a panic is observed the remaining
+//! workers stop claiming work, and every already-computed result is
+//! dropped, so the error path neither deadlocks nor leaks.
 
 use std::any::Any;
 use std::fmt;
-use std::mem::{ManuallyDrop, MaybeUninit};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Environment variable overriding the worker-pool size.
@@ -83,9 +84,11 @@ pub fn threads() -> usize {
     }
 }
 
-/// A worker panic captured by [`try_map`] / surfaced by [`map`].
+/// A worker panic captured by [`try_map`] / surfaced by [`map`] and
+/// [`for_each_band`].
 ///
-/// `index` is the item whose closure panicked; `message` is the panic
+/// `index` is the item whose closure panicked (for [`for_each_band`], the
+/// start index of the panicking band); `message` is the panic
 /// payload rendered as text (`&str` and `String` payloads verbatim,
 /// anything else summarized). When several items panic concurrently the
 /// lowest *observed* index wins; with a single panicking item — the
@@ -123,11 +126,10 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 
 /// Applies `f` to every element of `items`, in parallel, preserving order.
 ///
-/// Worker threads claim contiguous chunks of indices from one atomic
-/// counter (a handful of items per RMW, so the counter cache line is not
-/// thrashed on fine-grained work) and write results straight into their
-/// final slots — each result is stored exactly once. Falls back to a
-/// serial loop for small inputs or a single-thread pool.
+/// Workers claim contiguous runs of up to 64 items (a handful per claim,
+/// so the shared queue is off the hot path on fine-grained work)
+/// and store each result in its own slot; a single-thread pool runs the
+/// same loop on the caller's thread.
 ///
 /// # Panics
 ///
@@ -136,41 +138,15 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 /// message is preserved, nothing deadlocks, and completed results are
 /// dropped. Use [`try_map`] to receive the panic as a value instead.
 pub fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    map_with_threads(items, threads(), f)
-}
-
-/// [`map`] with an explicit thread count (used by the property tests and
-/// anything that must pin the pool size without touching the
-/// environment).
-pub fn map_with_threads<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 2 {
-        // Serial fast path: call `f` directly so panics propagate with
-        // their original payload and zero wrapping overhead.
-        return items.iter().map(f).collect();
-    }
-    match parallel_try_map(items, threads, &f) {
-        Ok(out) => out,
-        // Re-panic with the worker's payload text so callers (and
-        // `#[should_panic(expected = ...)]` tests) still see the original
-        // message instead of the scope's opaque "a scoped thread panicked".
-        // rtped-lint: allow(unwrap-in-library, "documented contract: map re-raises the worker's original panic; try_map is the non-panicking path")
-        Err(p) => panic!("{p}"),
-    }
+    or_repanic(try_map(items, f))
 }
 
 /// [`map`] with panic isolation: a panicking closure yields a typed
 /// [`MapPanic`] instead of unwinding through the caller.
 ///
-/// The panic is caught in both the serial and the parallel path, so the
-/// behavior does not depend on the pool size. On error, results computed
-/// before the panic are dropped; no work is leaked and no worker is left
-/// running.
+/// The panic is caught for every pool size, so the behavior does not
+/// depend on it. On error, results computed before the panic are dropped;
+/// no work is leaked and no worker is left running.
 ///
 /// # Errors
 ///
@@ -192,172 +168,16 @@ pub fn try_map_with_threads<T: Sync, R: Send>(
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Result<Vec<R>, MapPanic> {
-    let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 2 {
-        let mut out = Vec::with_capacity(n);
-        for (index, item) in items.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(result) => out.push(result),
-                Err(payload) => {
-                    return Err(MapPanic {
-                        index,
-                        message: payload_message(payload.as_ref()),
-                    })
-                }
-            }
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
+    let claim = claim_size(items.len(), threads.max(1));
+    claim_bands(&mut slots, claim, threads, |start, band| {
+        for (index, slot) in (start..).zip(band) {
+            *slot = Some(caught(index, || f(&items[index]))?);
         }
-        return Ok(out);
-    }
-    parallel_try_map(items, threads, &f)
-}
-
-/// The shared parallel engine behind [`map`] and [`try_map`].
-///
-/// Each closure call runs under `catch_unwind` (via `AssertUnwindSafe`:
-/// the only shared state a panic can leave behind is the slot buffer,
-/// which the error path cleans up below, so observing it is safe). On
-/// panic the stop flag halts further claiming, the lowest observed
-/// panicking index is recorded, and every fully-written slot — tracked as
-/// completed ranges — is dropped so the error path leaks nothing.
-fn parallel_try_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: &(impl Fn(&T) -> R + Sync),
-) -> Result<Vec<R>, MapPanic> {
-    let n = items.len();
-    // Contiguous chunk claiming: one fetch_add hands a worker `claim`
-    // consecutive indices. Small enough to balance uneven costs, large
-    // enough that the atomic counter is off the hot path.
-    let claim = claim_size(n, threads);
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut slots = uninit_slots::<R>(n);
-    let slots_ptr = SendPtr(slots.as_mut_ptr());
-    let first_panic: Mutex<Option<MapPanic>> = Mutex::new(None);
-    let completed: Mutex<Vec<Range<usize>>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let stop = &stop;
-            let first_panic = &first_panic;
-            let completed = &completed;
-            let f = &f;
-            scope.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let start = next.fetch_add(claim, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + claim).min(n);
-                    let mut filled = start;
-                    let mut panicked = false;
-                    for (offset, item) in items[start..end].iter().enumerate() {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                            Ok(result) => {
-                                // SAFETY: exclusive chunk claim — the atomic
-                                // counter hands each index range to exactly
-                                // one worker, so no two threads ever write
-                                // the same slot, and the slot buffer outlives
-                                // the scope that borrows it.
-                                unsafe {
-                                    slots_ptr
-                                        .get()
-                                        .add(start + offset)
-                                        .write(MaybeUninit::new(result));
-                                }
-                                filled = start + offset + 1;
-                            }
-                            Err(payload) => {
-                                stop.store(true, Ordering::Relaxed);
-                                let index = start + offset;
-                                let message = payload_message(payload.as_ref());
-                                let mut slot =
-                                    first_panic.lock().unwrap_or_else(PoisonError::into_inner);
-                                if slot.as_ref().is_none_or(|p| index < p.index) {
-                                    *slot = Some(MapPanic { index, message });
-                                }
-                                panicked = true;
-                                break;
-                            }
-                        }
-                    }
-                    if filled > start {
-                        completed
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push(start..filled);
-                    }
-                    if panicked {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    match first_panic
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        None => {
-            // SAFETY: init-before-read — no worker panicked, so the claim
-            // counter monotonically covered 0..n and every slot was written
-            // exactly once before this single post-scope read.
-            Ok(unsafe { assume_init_vec(slots) })
-        }
-        Some(panic) => {
-            // Drop every result produced before the panic; the completed
-            // ranges are disjoint (each was claimed by exactly one worker)
-            // and cover precisely the initialized slots. `slots` itself then
-            // drops as Vec<MaybeUninit<R>>, which frees the buffer without
-            // touching any element again.
-            let ranges = completed
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            for range in ranges {
-                for i in range {
-                    // SAFETY: leak-free cleanup on panic — slot `i` lies in a
-                    // completed (fully written, disjoint) range, so it holds
-                    // an initialized value that is dropped exactly once;
-                    // never-written slots stay MaybeUninit and are freed
-                    // without being read.
-                    unsafe { (*slots_ptr.get().add(i)).assume_init_drop() };
-                }
-            }
-            drop(slots);
-            Err(panic)
-        }
-    }
-}
-
-/// Applies `f` to contiguous chunks of `items` (each at most `chunk_len`
-/// long), in parallel, returning per-chunk results in chunk order.
-///
-/// `f` receives the index of the chunk's first item and the chunk slice.
-/// This is the right primitive when per-item work is too cheap to claim
-/// individually: the caller picks the batch granularity and the claiming
-/// cost is paid once per chunk.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`.
-pub fn map_chunks<T: Sync, R: Send>(
-    items: &[T],
-    chunk_len: usize,
-    f: impl Fn(usize, &[T]) -> R + Sync,
-) -> Vec<R> {
-    assert!(chunk_len > 0, "chunk_len must be non-zero");
-    let chunks: Vec<(usize, &[T])> = items
-        .chunks(chunk_len)
-        .enumerate()
-        .map(|(c, s)| (c * chunk_len, s))
-        .collect();
-    map(&chunks, |&(start, slice)| f(start, slice))
+        Ok(())
+    })?;
+    Ok(slots.into_iter().flatten().collect())
 }
 
 /// Splits `data` into consecutive bands of `band_len` elements (the last
@@ -367,38 +187,96 @@ pub fn map_chunks<T: Sync, R: Send>(
 ///
 /// # Panics
 ///
-/// Panics if `band_len == 0` while `data` is non-empty.
+/// Panics if `band_len == 0` while `data` is non-empty. If `f` panics,
+/// re-panics with the worker's payload text and the band's start index
+/// (see [`MapPanic`]) after every worker has stopped.
 pub fn for_each_band<T: Send>(data: &mut [T], band_len: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    for_each_band_with_threads(data, band_len, threads(), f);
+}
+
+/// [`for_each_band`] with an explicit thread count.
+fn for_each_band_with_threads<T: Send>(
+    data: &mut [T],
+    band_len: usize,
+    threads: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
     if data.is_empty() {
         return;
     }
     assert!(band_len > 0, "band_len must be non-zero");
-    let workers = threads().min(data.len().div_ceil(band_len));
-    if workers <= 1 {
-        for (b, band) in data.chunks_mut(band_len).enumerate() {
-            f(b * band_len, band);
-        }
-        return;
-    }
-    // Bands are coarse by construction, so a mutex-guarded iterator is a
-    // perfectly good (and fully safe) work queue.
+    or_repanic(claim_bands(data, band_len, threads, |start, band| {
+        caught(start, || f(start, band))
+    }));
+}
+
+/// The one work-claiming loop behind [`try_map`] and [`for_each_band`].
+///
+/// Up to `threads` workers pop `(band, &mut slice)` pairs off one
+/// mutex-guarded `chunks_mut` queue and run `f(start_index, slice)` until
+/// the queue drains; with one worker the loop runs on the caller's thread.
+/// `f` reports a caught panic as an error: a stop flag then halts further
+/// claiming, and the lowest panicking index is kept. `band_len` must be
+/// non-zero.
+fn claim_bands<T: Send>(
+    data: &mut [T],
+    band_len: usize,
+    threads: usize,
+    f: impl Fn(usize, &mut [T]) -> Result<(), MapPanic> + Sync,
+) -> Result<(), MapPanic> {
+    let workers = threads.min(data.len().div_ceil(band_len));
     let queue = Mutex::new(data.chunks_mut(band_len).enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let queue = &queue;
-            let f = &f;
-            scope.spawn(move || loop {
-                // A panic in a sibling's `f` poisons the queue; recover the
-                // guard so the survivors drain cleanly and the scope can
-                // propagate the original panic instead of a poisoned-lock one.
-                let item = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                match item {
-                    Some((b, band)) => f(b * band_len, band),
-                    None => break,
+    let stop = AtomicBool::new(false);
+    let first_panic: Mutex<Option<MapPanic>> = Mutex::new(None);
+    let work = |_worker: usize| {
+        while !stop.load(Ordering::Relaxed) {
+            // `f` never unwinds (its panics come back as errors), so the
+            // lock cannot be poisoned; recovering the guard keeps the loop
+            // panic-free anyway.
+            let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((b, band)) = claimed else {
+                break;
+            };
+            if let Err(panic) = f(b * band_len, band) {
+                stop.store(true, Ordering::Relaxed);
+                let mut slot = first_panic.lock().unwrap_or_else(PoisonError::into_inner);
+                if slot.as_ref().is_none_or(|p| panic.index < p.index) {
+                    *slot = Some(panic);
                 }
-            });
+            }
         }
-    });
+    };
+    if workers <= 1 {
+        work(0);
+    } else {
+        run_workers(workers, work);
+    }
+    first_panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .map_or(Ok(()), Err)
+}
+
+/// Runs `body` under `catch_unwind`, reporting a panic as a [`MapPanic`]
+/// at `index`. (`AssertUnwindSafe`: on a panic the caller discards
+/// everything the body could have touched.)
+fn caught<R>(index: usize, body: impl FnOnce() -> R) -> Result<R, MapPanic> {
+    catch_unwind(AssertUnwindSafe(body)).map_err(|payload| MapPanic {
+        index,
+        message: payload_message(payload.as_ref()),
+    })
+}
+
+/// Unwraps a claim-loop result, re-panicking with the worker's payload
+/// text so callers (and `#[should_panic(expected = ...)]` tests) see the
+/// original message instead of the scope's opaque "a scoped thread
+/// panicked".
+fn or_repanic<V>(result: Result<V, MapPanic>) -> V {
+    match result {
+        Ok(value) => value,
+        // rtped-lint: allow(unwrap-in-library, "documented contract: map and for_each_band re-raise the worker's original panic; try_map is the non-panicking path")
+        Err(p) => panic!("{p}"),
+    }
 }
 
 /// Runs `f(0), f(1), ..., f(workers - 1)` on one scoped thread each and
@@ -417,27 +295,6 @@ pub fn run_workers(workers: usize, f: impl Fn(usize) + Sync) {
             scope.spawn(move || f(w));
         }
     });
-}
-
-/// Evenly partitions `0..n` into at most `max_bands` contiguous ranges
-/// (fewer when `n < max_bands`; empty when `n == 0`). Deterministic in
-/// its inputs — band `b` always covers the same range.
-#[must_use]
-pub fn band_ranges(n: usize, max_bands: usize) -> Vec<Range<usize>> {
-    if n == 0 || max_bands == 0 {
-        return Vec::new();
-    }
-    let bands = max_bands.min(n);
-    let base = n / bands;
-    let extra = n % bands;
-    let mut out = Vec::with_capacity(bands);
-    let mut start = 0;
-    for b in 0..bands {
-        let len = base + usize::from(b < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
 }
 
 /// Runs `f` at AVX2 vector width when the CPU has it — the lane axis of
@@ -465,63 +322,26 @@ pub fn wide<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Claim granularity for [`map_with_threads`]: small enough that uneven
-/// item costs still balance across the pool, large enough that the shared
-/// counter sees ~32 RMWs per thread rather than one per item.
+/// Claim granularity for [`try_map_with_threads`]: small enough that
+/// uneven item costs still balance across the pool, large enough that the
+/// shared queue sees ~32 claims per thread rather than one per item.
 fn claim_size(n: usize, threads: usize) -> usize {
     (n / (threads * 32)).clamp(1, 64)
 }
 
-/// An uninitialized result buffer of length `n`.
-fn uninit_slots<R>(n: usize) -> Vec<MaybeUninit<R>> {
-    let mut slots = Vec::with_capacity(n);
-    slots.resize_with(n, MaybeUninit::uninit);
-    slots
-}
-
-/// Converts a fully initialized `Vec<MaybeUninit<R>>` into `Vec<R>`.
-///
-/// # Safety
-///
-/// Every element must be initialized.
-unsafe fn assume_init_vec<R>(slots: Vec<MaybeUninit<R>>) -> Vec<R> {
-    let mut slots = ManuallyDrop::new(slots);
-    let (ptr, len, cap) = (slots.as_mut_ptr(), slots.len(), slots.capacity());
-    // SAFETY: MaybeUninit<R> has the same layout as R, the caller
-    // guarantees initialization, and ManuallyDrop relinquishes ownership.
-    unsafe { Vec::from_raw_parts(ptr.cast::<R>(), len, cap) }
-}
-
-/// A raw pointer wrapper that is `Send`/`Copy` so scoped threads can write
-/// disjoint slots of the output buffer.
-struct SendPtr<R>(*mut MaybeUninit<R>);
-
-impl<R> Clone for SendPtr<R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<R> Copy for SendPtr<R> {}
-
-impl<R> SendPtr<R> {
-    /// Accessor so closures capture the whole `Send` wrapper rather than
-    /// the raw-pointer field (edition-2021 disjoint capture).
-    fn get(self) -> *mut MaybeUninit<R> {
-        self.0
-    }
-}
-
-// SAFETY: the pointer is only dereferenced at indices uniquely claimed via
-// the atomic counter; disjoint writes from multiple threads are safe.
-unsafe impl<R: Send> Send for SendPtr<R> {}
-// SAFETY: same disjointness argument — the shared reference is only used
-// to copy the pointer into worker threads.
-unsafe impl<R: Send> Sync for SendPtr<R> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    /// [`map`] with an explicit thread count.
+    fn map_with<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        or_repanic(try_map_with_threads(items, threads, f))
+    }
 
     #[test]
     fn preserves_order() {
@@ -571,7 +391,7 @@ mod tests {
         let items: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in 1..=8 {
-            let out = map_with_threads(&items, threads, |&x| x * 3 + 1);
+            let out = map_with(&items, threads, |&x| x * 3 + 1);
             assert_eq!(out, serial, "threads={threads}");
         }
     }
@@ -582,26 +402,6 @@ mod tests {
         assert_eq!(claim_size(1_000_000, 4), 64);
         let mid = claim_size(4096, 8);
         assert!((1..=64).contains(&mid));
-    }
-
-    #[test]
-    fn map_chunks_covers_every_item_in_order() {
-        let items: Vec<usize> = (0..103).collect();
-        let sums = map_chunks(&items, 10, |start, chunk| {
-            assert_eq!(chunk[0], start);
-            chunk.iter().sum::<usize>()
-        });
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-        // First chunk is 0..10, last chunk is 100..103.
-        assert_eq!(sums[0], (0..10).sum::<usize>());
-        assert_eq!(sums[10], 100 + 101 + 102);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_len must be non-zero")]
-    fn map_chunks_rejects_zero_chunk() {
-        let _ = map_chunks(&[1, 2, 3], 0, |_, c| c.len());
     }
 
     #[test]
@@ -624,28 +424,26 @@ mod tests {
     }
 
     #[test]
-    fn band_ranges_partition_the_domain() {
-        for n in [0usize, 1, 7, 64, 135, 1000] {
-            for bands in [1usize, 2, 3, 8, 200] {
-                let ranges = band_ranges(n, bands);
-                let mut covered = 0;
-                let mut expect_start = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect_start, "bands must be contiguous");
-                    assert!(!r.is_empty(), "no empty bands");
-                    covered += r.len();
-                    expect_start = r.end;
-                }
-                assert_eq!(covered, n, "n={n} bands={bands}");
-                assert!(ranges.len() <= bands.min(n.max(1)));
-                // Even split: band lengths differ by at most one.
-                if let (Some(min), Some(max)) = (
-                    ranges.iter().map(|r| r.len()).min(),
-                    ranges.iter().map(|r| r.len()).max(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
+    fn for_each_band_repanics_with_payload_and_band_start() {
+        // One band panics: every pool size must drain (no deadlock) and
+        // re-raise the original payload text with the band's start index,
+        // never the scope's or a poisoned lock's message.
+        for threads in 1..=4 {
+            let mut data = vec![0usize; 1000];
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                for_each_band_with_threads(&mut data, 64, threads, |start, band| {
+                    if start == 320 {
+                        panic!("injected failure in band {start}");
+                    }
+                    band.fill(start);
+                });
+            }))
+            .expect_err("for_each_band must re-panic");
+            let text = payload_message(caught.as_ref());
+            assert!(
+                text.contains("injected failure in band 320") && text.contains("item 320"),
+                "threads={threads}: re-panic lost the payload or band start: {text}"
+            );
         }
     }
 
@@ -683,8 +481,8 @@ mod tests {
 
     #[test]
     fn try_map_serial_path_catches_panics_too() {
-        // n < 2 forces the serial fast path; isolation must not depend on
-        // the pool actually spawning.
+        // One item is one band, run on the caller's thread; isolation
+        // must not depend on the pool actually spawning.
         let err = try_map_with_threads(&[7u32], 4, |_| -> u32 { panic!("lone item") })
             .expect_err("serial path must catch");
         assert_eq!(err.index, 0);
@@ -741,7 +539,7 @@ mod tests {
     fn map_repanics_with_original_message() {
         let items: Vec<usize> = (0..200).collect();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            map_with_threads(&items, 4, |&x| {
+            map_with(&items, 4, |&x| {
                 if x == 90 {
                     panic!("original payload text");
                 }
@@ -772,8 +570,8 @@ mod tests {
             items in crate::check::vec_of(0u64..1000, 0..=96),
             threads in 1usize..=8,
         ) {
-            // Per-item cost varies with the value, so chunk claiming and
-            // work stealing both get exercised.
+            // Per-item cost varies with the value, so workers claim
+            // bands at uneven rates.
             let cost = |&x: &u64| {
                 let mut acc = x;
                 for i in 0..(x % 13) * 50 {
@@ -782,8 +580,31 @@ mod tests {
                 (x, acc)
             };
             let serial: Vec<(u64, u64)> = items.iter().map(cost).collect();
-            let parallel = map_with_threads(&items, threads, cost);
+            let parallel = map_with(&items, threads, cost);
             crate::check_assert_eq!(serial, parallel);
+        }
+    }
+
+    crate::check! {
+        #![cases = 48]
+        fn band_fills_match_the_serial_fill(
+            items in crate::check::vec_of(0u64..1000, 0..=96),
+            threads in 1usize..=8,
+            pick in 0usize..1000,
+        ) {
+            // Band lengths 1..=n+1: one-element bands through a single
+            // band longer than the data.
+            let band_len = pick % (items.len() + 1) + 1;
+            let fill = |start: usize, band: &mut [u64]| {
+                for (i, v) in (start..).zip(band.iter_mut()) {
+                    *v = v.wrapping_mul(31) ^ i as u64;
+                }
+            };
+            let mut serial = items.clone();
+            fill(0, &mut serial);
+            let mut banded = items;
+            for_each_band_with_threads(&mut banded, band_len, threads, fill);
+            crate::check_assert_eq!(serial, banded);
         }
     }
 }

@@ -13,7 +13,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rtped_core::retry::RetryPolicy;
 use rtped_core::Error;
 use rtped_image::pnm::{load_pnm, save_pgm};
 use rtped_image::GrayImage;
@@ -68,43 +67,6 @@ pub fn import_windows(root: impl AsRef<Path>, window: (usize, usize)) -> Result<
         positives,
         negatives,
     })
-}
-
-/// [`import_windows`] hardened against transient filesystem failures.
-///
-/// Only [`Error::Io`] is treated as transient and retried under `policy`
-/// (a network mount hiccup, a directory mid-rsync); [`Error::Format`]
-/// means the bytes themselves are bad, and retrying a malformed file
-/// cannot help, so format errors fail fast on the first attempt.
-///
-/// # Errors
-///
-/// Returns the last [`Error::Io`] once the retry budget is exhausted, or
-/// the first [`Error::Format`] immediately.
-pub fn import_windows_retry(
-    root: impl AsRef<Path>,
-    window: (usize, usize),
-    policy: &RetryPolicy,
-) -> Result<WindowSet, Error> {
-    let root = root.as_ref();
-    let attempts = policy.max_attempts.max(1);
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            let pause = policy.backoff_for(attempt - 1);
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-        }
-        match import_windows(root, window) {
-            Ok(set) => return Ok(set),
-            Err(err @ Error::Io(_)) => last_err = Some(err),
-            // Bad bytes, wrong dimensions, empty dirs: retrying cannot
-            // change the outcome, so surface the error right away.
-            Err(err) => return Err(err),
-        }
-    }
-    Err(last_err.expect("at least one attempt ran"))
 }
 
 fn load_dir(dir: &Path, window: (usize, usize)) -> Result<Vec<GrayImage>, Error> {
@@ -206,77 +168,6 @@ mod tests {
     fn missing_directory_is_an_io_error() {
         let err = import_windows("/nonexistent/rtped/ds", (64, 128)).unwrap_err();
         assert!(matches!(err, Error::Io(_)));
-    }
-
-    #[test]
-    fn retry_succeeds_like_plain_import() {
-        let root = temp_root("retry_ok");
-        let set = tiny_set();
-        export_windows(&root, &set).unwrap();
-        let back = import_windows_retry(&root, (64, 128), &RetryPolicy::immediate(3)).unwrap();
-        assert_eq!(back.positives, set.positives);
-        assert_eq!(back.negatives, set.negatives);
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn retry_exhausts_budget_on_persistent_io_error() {
-        // Missing directory is Error::Io, hence transient from the
-        // policy's point of view: all attempts run, last error surfaces.
-        let err = import_windows_retry(
-            "/nonexistent/rtped/ds",
-            (64, 128),
-            &RetryPolicy::immediate(3),
-        )
-        .unwrap_err();
-        assert!(matches!(err, Error::Io(_)));
-    }
-
-    #[test]
-    fn retry_fails_fast_on_format_errors() {
-        // A size mismatch is permanent — wrong on every attempt — so the
-        // policy must not sleep through its whole backoff schedule.
-        let root = temp_root("retry_format");
-        let set = tiny_set();
-        export_windows(&root, &set).unwrap();
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            base_backoff: std::time::Duration::from_millis(200),
-            jitter_seed: None,
-        };
-        let start = rtped_core::timer::Stopwatch::start();
-        let err = import_windows_retry(&root, (32, 64), &policy).unwrap_err();
-        assert!(matches!(err, Error::Format(_)));
-        assert!(
-            start.elapsed() < std::time::Duration::from_millis(200),
-            "format errors must not trigger backoff sleeps"
-        );
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn retry_recovers_when_directory_appears_mid_budget() {
-        // Simulate a transient failure window: the dataset root does not
-        // exist for the first attempts and is created from another thread
-        // while the importer is still inside its retry budget.
-        let root = temp_root("retry_recover");
-        let set = tiny_set();
-        let writer = {
-            let root = root.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(60));
-                export_windows(&root, &set).unwrap();
-            })
-        };
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base_backoff: std::time::Duration::from_millis(40),
-            jitter_seed: None,
-        };
-        let back = import_windows_retry(&root, (64, 128), &policy).unwrap();
-        writer.join().unwrap();
-        assert!(!back.positives.is_empty());
-        fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -250,14 +250,6 @@ impl DetectorBuilder {
         self
     }
 
-    /// Disables non-maximum suppression (every window above threshold is
-    /// reported).
-    #[must_use]
-    pub fn no_nms(mut self) -> Self {
-        self.config.nms_iou = None;
-        self
-    }
-
     /// Replaces the HOG geometry.
     #[must_use]
     pub fn params(mut self, params: HogParams) -> Self {
@@ -658,9 +650,9 @@ pub(crate) struct LevelScan {
 impl LevelScan {
     /// Scores window rows `rys` against the plane, which the caller keeps
     /// current with `features`, and replaces their hits. Rows are fanned
-    /// across cores in contiguous bands — each row's result is
-    /// independent, so the hits are identical for any thread count — with
-    /// a serial short-circuit for small scans.
+    /// across cores in contiguous bands, about four per worker — each
+    /// row's result is independent, so the hits are identical for any
+    /// thread count — and a small scan is one band, run serially.
     pub(crate) fn rescan(
         &mut self,
         features: &FeatureMap,
@@ -671,18 +663,17 @@ impl LevelScan {
     ) {
         let geom = &self.geom;
         let scorer = RowScorer::new(&self.plane, features, geom, model, quant);
-        let score = |ry: &usize| scorer.row_hits(geom, config.threshold, *ry);
-        let fresh: Vec<Vec<Detection>> = if rys.len() * geom.cols < PAR_MIN_WINDOWS {
-            rys.iter().map(score).collect()
+        let band_len = if rys.len() * geom.cols < PAR_MIN_WINDOWS {
+            rys.len()
         } else {
-            let bands = par::band_ranges(rys.len(), par::threads() * 4);
-            par::map(&bands, |band| {
-                rys[band.clone()].iter().map(score).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+            rys.len().div_ceil(par::threads() * 4)
         };
+        let mut fresh: Vec<Vec<Detection>> = vec![Vec::new(); rys.len()];
+        par::for_each_band(&mut fresh, band_len, |start, band| {
+            for (hits, &ry) in band.iter_mut().zip(&rys[start..]) {
+                *hits = scorer.row_hits(geom, config.threshold, ry);
+            }
+        });
         for (&ry, hits) in rys.iter().zip(fresh) {
             self.row_hits[ry] = hits;
         }
@@ -1175,12 +1166,10 @@ mod tests {
         let model = zero_model(&params, 1.0);
         let image_det: ImagePyramidDetector = DetectorBuilder::new(model.clone())
             .scales(vec![1.0])
-            .no_nms()
             .build()
             .unwrap();
         let feature_det: FeaturePyramidDetector = DetectorBuilder::new(model)
             .scales(vec![1.0])
-            .no_nms()
             .build()
             .unwrap();
         let frame = textured(128, 192);
@@ -1190,7 +1179,7 @@ mod tests {
             feature_det.detect(&frame).len()
         );
         assert_eq!(image_det.config().stride_cells, 1);
-        assert_eq!(feature_det.config().nms_iou, None);
+        assert_eq!(feature_det.config().nms_iou, image_det.config().nms_iou);
     }
 
     #[test]

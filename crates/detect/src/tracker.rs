@@ -30,14 +30,6 @@ pub struct Track {
     confirmed: bool,
 }
 
-impl Track {
-    /// Whether the track has accumulated enough hits to be trusted.
-    #[must_use]
-    pub fn is_confirmed(&self) -> bool {
-        self.confirmed
-    }
-}
-
 /// Tracker configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackerParams {

@@ -33,12 +33,6 @@ impl ConfusionMatrix {
         Self::default()
     }
 
-    /// Builds a matrix from explicit counts.
-    #[must_use]
-    pub fn from_counts(tp: u64, tn: u64, fp: u64, fn_: u64) -> Self {
-        Self { tp, tn, fp, fn_ }
-    }
-
     /// Records one decision: `actual` is the ground truth, `predicted` the
     /// classifier output (`true` = positive class).
     pub fn record(&mut self, actual: bool, predicted: bool) {
@@ -102,17 +96,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// `FP / (FP + TN)`; 0 if no negatives.
-    #[must_use]
-    pub fn false_positive_rate(&self) -> f64 {
-        let neg = self.fp + self.tn;
-        if neg == 0 {
-            0.0
-        } else {
-            self.fp as f64 / neg as f64
-        }
-    }
-
     /// `TP / (TP + FP)` — precision; 0 if nothing was predicted positive.
     #[must_use]
     pub fn precision(&self) -> f64 {
@@ -173,7 +156,12 @@ mod tests {
 
     fn sample() -> ConfusionMatrix {
         // 1083 TP / 4462 TN is the paper's base-scale row of Table 1.
-        ConfusionMatrix::from_counts(1083, 4462, 68, 43)
+        ConfusionMatrix {
+            tp: 1083,
+            tn: 4462,
+            fp: 68,
+            fn_: 43,
+        }
     }
 
     #[test]
@@ -206,7 +194,6 @@ mod tests {
     fn rates_are_consistent() {
         let cm = sample();
         assert!((cm.true_positive_rate() + cm.miss_rate() - 1.0).abs() < 1e-12);
-        assert!(cm.false_positive_rate() > 0.0 && cm.false_positive_rate() < 1.0);
         assert!(cm.precision() > 0.9);
         assert!(cm.f1() > 0.9);
     }
@@ -216,17 +203,16 @@ mod tests {
         let cm = ConfusionMatrix::new();
         assert_eq!(cm.accuracy(), 0.0);
         assert_eq!(cm.true_positive_rate(), 0.0);
-        assert_eq!(cm.false_positive_rate(), 0.0);
         assert_eq!(cm.precision(), 0.0);
         assert_eq!(cm.f1(), 0.0);
     }
 
     #[test]
     fn merge_adds_counts() {
-        let mut a = ConfusionMatrix::from_counts(1, 2, 3, 4);
-        let b = ConfusionMatrix::from_counts(10, 20, 30, 40);
-        a.merge(&b);
-        assert_eq!(a, ConfusionMatrix::from_counts(11, 22, 33, 44));
+        let counts = |tp, tn, fp, fn_| ConfusionMatrix { tp, tn, fp, fn_ };
+        let mut a = counts(1, 2, 3, 4);
+        a.merge(&counts(10, 20, 30, 40));
+        assert_eq!(a, counts(11, 22, 33, 44));
     }
 
     #[test]

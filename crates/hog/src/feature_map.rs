@@ -224,10 +224,17 @@ impl FeatureMap {
                 }
             }
         }
+        self.copy_clamped_edges(rows);
+    }
 
-        // Clamped edge slots copy the quadrant the scatter wrote for the
-        // same cell. (The source slot is never itself clamped, so ordering
-        // is immaterial.)
+    /// Fills the clamped edge slots of cell rows `rows`: each copies the
+    /// quadrant the block scatter wrote for the same cell in the nearest
+    /// valid block. (The source slot is never itself clamped, so ordering
+    /// is immaterial.)
+    fn copy_clamped_edges(&mut self, rows: Range<usize>) {
+        let (cells_x, cells_y, bins) = (self.cells_x, self.cells_y, self.bins);
+        let max_bx = cells_x - 2;
+        let max_by = cells_y - 2;
         for cy in rows {
             let edge_row = cy == 0 || cy == cells_y - 1;
             for cx in 0..cells_x {
@@ -451,9 +458,10 @@ impl FeatureMap {
     /// shrinks every block's norm below the unit norm the classifier was
     /// trained on and uniformly deflates decision values. This pass
     /// rebuilds each physical 2×2-cell block from the role slots that
-    /// reference it, renormalizes the 36-vector, and scatters it back —
-    /// an optional correction (ablated in `rtped-bench`) that the
-    /// shift-and-add hardware scaler does *not* perform.
+    /// reference it, renormalizes the 36-vector, and scatters it back;
+    /// clamped edge slots then copy their block's quadrant, as in a fresh
+    /// map. It is an optional correction (ablated in `rtped-bench`) that
+    /// the shift-and-add hardware scaler does *not* perform.
     #[must_use]
     pub fn renormalized(&self, norm: crate::block::NormKind) -> FeatureMap {
         let mut out = self.clone();
@@ -492,6 +500,7 @@ impl FeatureMap {
                 }
             }
         }
+        out.copy_clamped_edges(0..self.cells_y);
         out
     }
 
@@ -737,6 +746,41 @@ mod tests {
             "renormalized block norm {}",
             total.sqrt()
         );
+    }
+
+    #[test]
+    fn renormalized_edge_slots_copy_their_block_quadrant() {
+        // A fresh map holds every clamped edge slot equal to the quadrant
+        // of the nearest valid block for the same cell; renormalization
+        // must restore that after resampling deflated both.
+        let p = HogParams::pedestrian();
+        let renormed = FeatureMap::extract(&textured(96, 160), &p)
+            .scaled_by(1.4)
+            .renormalized(p.norm());
+        let (cells_x, cells_y) = renormed.cells();
+        let (max_bx, max_by) = (cells_x as isize - 2, cells_y as isize - 2);
+        let mut clamped = 0;
+        for cy in 0..cells_y {
+            for cx in 0..cells_x {
+                for role in CellRole::ALL {
+                    let (dx, dy) = role.block_offset();
+                    let bx = (cx as isize + dx).clamp(0, max_bx);
+                    let by = (cy as isize + dy).clamp(0, max_by);
+                    if (bx, by) == (cx as isize + dx, cy as isize + dy) {
+                        continue;
+                    }
+                    clamped += 1;
+                    let quadrant =
+                        CellRole::ALL[((cy as isize - by) * 2 + (cx as isize - bx)) as usize];
+                    assert_eq!(
+                        renormed.cell_role(cx, cy, role),
+                        renormed.cell_role(cx, cy, quadrant),
+                        "cell ({cx},{cy}) {role:?} differs from its {quadrant:?} quadrant"
+                    );
+                }
+            }
+        }
+        assert!(clamped > 0);
     }
 
     #[test]

@@ -83,43 +83,6 @@ impl<const FRAC: u32> Fx<FRAC> {
         Self(rounded.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32)
     }
 
-    /// Saturating division (`self / rhs`), round toward zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics on division by zero.
-    #[must_use]
-    pub fn div(self, rhs: Self) -> Self {
-        assert!(rhs.0 != 0, "fixed-point division by zero");
-        let wide = (i64::from(self.0) << FRAC) / i64::from(rhs.0);
-        Self(wide.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32)
-    }
-
-    /// Arithmetic shift right (divide by a power of two, floor).
-    #[must_use]
-    pub fn shr(self, bits: u32) -> Self {
-        Self(self.0 >> bits)
-    }
-
-    /// Saturating shift left (multiply by a power of two).
-    #[must_use]
-    pub fn shl(self, bits: u32) -> Self {
-        Self(
-            self.0
-                .checked_shl(bits)
-                .map_or(if self.0 >= 0 { i32::MAX } else { i32::MIN }, |v| {
-                    // Detect overflow: shifting back must recover the value.
-                    if (v >> bits) == self.0 {
-                        v
-                    } else if self.0 >= 0 {
-                        i32::MAX
-                    } else {
-                        i32::MIN
-                    }
-                }),
-        )
-    }
-
     /// Clamps to `[lo, hi]`.
     #[must_use]
     pub fn clamp(self, lo: Self, hi: Self) -> Self {
@@ -213,34 +176,6 @@ mod tests {
         assert_eq!(big.add(big), Q15::MAX);
         let small = Q15::from_raw(i32::MIN + 1);
         assert_eq!(small.add(small), Q15::MIN);
-    }
-
-    #[test]
-    fn div_inverts_mul() {
-        let a = Q12::from_f32(0.75);
-        let b = Q12::from_f32(0.25);
-        assert!((a.div(b).to_f32() - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed-point division by zero")]
-    fn div_by_zero_panics() {
-        let _ = Q12::ONE.div(Q12::ZERO);
-    }
-
-    #[test]
-    fn shifts_are_powers_of_two() {
-        let v = Q12::from_f32(0.5);
-        assert!((v.shr(1).to_f32() - 0.25).abs() < 1e-6);
-        assert!((v.shl(1).to_f32() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn shl_saturates_on_overflow() {
-        let v = Q15::from_raw(1 << 30);
-        assert_eq!(v.shl(4), Q15::MAX);
-        let v = Q15::from_raw(-(1 << 30));
-        assert_eq!(v.shl(4), Q15::MIN);
     }
 
     #[test]

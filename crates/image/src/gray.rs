@@ -138,16 +138,6 @@ impl GrayImage {
         self.data[y * self.width + x]
     }
 
-    /// Returns pixel `(x, y)` or `None` if out of bounds.
-    #[must_use]
-    pub fn try_get(&self, x: usize, y: usize) -> Option<u8> {
-        if x < self.width && y < self.height {
-            Some(self.data[y * self.width + x])
-        } else {
-            None
-        }
-    }
-
     /// Returns pixel `(x, y)` with the coordinates clamped into bounds.
     ///
     /// Out-of-range (including negative) coordinates are clamped to the
@@ -259,15 +249,6 @@ impl GrayImage {
             *v = f(*v);
         }
     }
-
-    /// Horizontally mirrors the image (a standard training-set augmentation;
-    /// Dalal & Triggs train on left-right reflections of each window).
-    #[must_use]
-    pub fn flip_horizontal(&self) -> GrayImage {
-        GrayImage::from_fn(self.width, self.height, |x, y| {
-            self.get(self.width - 1 - x, y)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -298,8 +279,6 @@ mod tests {
         let mut img = GrayImage::new(5, 4);
         img.put(4, 3, 99);
         assert_eq!(img.get(4, 3), 99);
-        assert_eq!(img.try_get(5, 3), None);
-        assert_eq!(img.try_get(4, 4), None);
     }
 
     #[test]
@@ -360,15 +339,6 @@ mod tests {
         img.put(1, 0, 100);
         assert!((img.mean() - 50.0).abs() < 1e-12);
         assert!((img.variance() - 2500.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flip_horizontal_mirrors() {
-        let img = GrayImage::from_fn(3, 2, |x, y| (x + 10 * y) as u8);
-        let flipped = img.flip_horizontal();
-        assert_eq!(flipped.get(0, 0), img.get(2, 0));
-        assert_eq!(flipped.get(2, 1), img.get(0, 1));
-        assert_eq!(flipped.flip_horizontal(), img);
     }
 
     #[test]

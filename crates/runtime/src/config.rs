@@ -81,13 +81,6 @@ impl RuntimeConfig {
             // keeps the signature infallible without a panic path.
             .unwrap_or_else(|_| Self::default())
     }
-
-    /// The worker-pool size in force: the configured override, or the
-    /// ambient [`rtped_core::par::threads`] resolution.
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or_else(rtped_core::par::threads)
-    }
 }
 
 impl Default for RuntimeConfig {
@@ -359,7 +352,6 @@ mod tests {
             .unwrap();
         assert!((config.budget.frame_budget_ms - 8.0).abs() < 1e-12);
         assert_eq!(config.threads, Some(4));
-        assert_eq!(config.effective_threads(), 4);
         assert_eq!(config.ecc, EccMode::Off);
         assert_eq!(config.policy.recover_after, 2);
         assert_eq!(config.datapath, Datapath::I16);

@@ -101,14 +101,6 @@ impl IntegrityRuntime {
         self
     }
 
-    /// Replaces the per-frame deadline budget (resets the session).
-    #[must_use]
-    pub fn with_budget(mut self, budget: DeadlineBudget) -> Self {
-        self.budget = budget;
-        self.reset();
-        self
-    }
-
     /// Replaces the degradation hysteresis policy (resets the session).
     #[must_use]
     pub fn with_policy(mut self, policy: DegradationPolicy) -> Self {

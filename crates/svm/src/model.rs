@@ -108,22 +108,6 @@ impl LinearSvm {
         Label::from_decision(self.decision(x))
     }
 
-    /// Classifies with an explicit threshold — the knob the paper mentions
-    /// for trading false positives against false negatives ("The trade-off
-    /// ... could be handled by varying the threshold in the classifier").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    #[must_use]
-    pub fn classify_with_threshold(&self, x: &[f32], threshold: f64) -> Label {
-        if self.decision(x) > threshold {
-            Label::Positive
-        } else {
-            Label::Negative
-        }
-    }
-
     /// The L2 norm of the weight vector (the margin term of eq. 3).
     #[must_use]
     pub fn weight_norm(&self) -> f64 {
@@ -182,14 +166,6 @@ mod tests {
     #[should_panic(expected = "weight vector must be non-empty")]
     fn empty_weights_rejected() {
         let _ = LinearSvm::new(vec![], 0.0);
-    }
-
-    #[test]
-    fn threshold_shifts_the_boundary() {
-        let m = LinearSvm::new(vec![1.0], 0.0);
-        assert_eq!(m.classify(&[0.5]), Label::Positive);
-        assert_eq!(m.classify_with_threshold(&[0.5], 1.0), Label::Negative);
-        assert_eq!(m.classify_with_threshold(&[1.5], 1.0), Label::Positive);
     }
 
     #[test]
