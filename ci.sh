@@ -161,9 +161,9 @@ echo "== results_throughput.txt regen check (the 1,200,420-cycle HDTV schedule i
 cargo run --release --offline -p rtped-bench --bin throughput 2>/dev/null | diff - results_throughput.txt
 
 echo "== accuracy quick-run regen checks (extraction, resampling and renormalization are byte-stable) =="
-# scene_ap prints wall-clock ms, so it is not diffed here. crossover has
-# no quick mode; its small-count run below is the quick artifact.
-for bin in table1 figure4 ablation_norm ablation_quantization; do
+# crossover has no quick mode; its small-count run below is the quick
+# artifact.
+for bin in table1 figure4 ablation_norm ablation_quantization scene_ap; do
     RTPED_QUICK=1 cargo run --release --offline -p rtped-bench --bin "$bin" 2>/dev/null \
         | diff - "results_$bin.quick.txt"
 done

@@ -156,26 +156,6 @@ where
     }
 }
 
-/// A generator that always yields `value` (useful inside `flat_map`).
-#[must_use]
-pub fn just<T: Clone + fmt::Debug>(value: T) -> Just<T> {
-    Just { value }
-}
-
-/// See [`just`].
-#[derive(Clone)]
-pub struct Just<T> {
-    value: T,
-}
-
-impl<T: Clone + fmt::Debug> Gen for Just<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut SeedRng) -> T {
-        self.value.clone()
-    }
-}
-
 /// A fair coin.
 #[must_use]
 pub fn boolean() -> Boolean {
@@ -729,13 +709,12 @@ mod tests {
     }
 
     #[test]
-    fn choice_and_just_and_boolean_generate_expected_values() {
+    fn choice_and_boolean_generate_expected_values() {
         let mut rng = SeedRng::seed_from_u64(10);
         let c = choice(vec!["a", "b", "c"]);
         for _ in 0..30 {
             assert!(["a", "b", "c"].contains(&c.generate(&mut rng)));
         }
-        assert_eq!(just(7u8).generate(&mut rng), 7);
         let b = boolean();
         let heads = (0..200).filter(|_| b.generate(&mut rng)).count();
         assert!((60..140).contains(&heads));

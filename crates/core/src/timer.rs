@@ -79,16 +79,6 @@ impl Stats {
     pub fn median(&self) -> Duration {
         Duration::from_nanos(self.median_ns as u64)
     }
-
-    /// Iterations per second implied by the median time.
-    #[must_use]
-    pub fn throughput(&self) -> f64 {
-        if self.median_ns > 0.0 {
-            1.0e9 / self.median_ns
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Formats a nanosecond count with an adaptive unit (`ns`/`µs`/`ms`/`s`).
@@ -244,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn throughput_inverts_median() {
+    fn median_is_the_headline_time() {
         let s = Stats {
             label: "x".into(),
             min_ns: 1.0,
@@ -252,7 +242,6 @@ mod tests {
             mean_ns: 3.0,
             iters: 1,
         };
-        assert_eq!(s.throughput(), 5.0e8);
         assert_eq!(s.median(), Duration::from_nanos(2));
     }
 

@@ -66,7 +66,6 @@ pub struct SceneBuilder {
     height: usize,
     seed: u64,
     noise: u8,
-    defocus_sigma: Option<f64>,
     pedestrians: Vec<Placement>,
 }
 
@@ -84,7 +83,6 @@ impl SceneBuilder {
             height,
             seed: 0x000D_AC17,
             noise: 5,
-            defocus_sigma: None,
             pedestrians: Vec::new(),
         }
     }
@@ -100,19 +98,6 @@ impl SceneBuilder {
     #[must_use]
     pub fn noise(mut self, amplitude: u8) -> Self {
         self.noise = amplitude;
-        self
-    }
-
-    /// Applies a Gaussian defocus of `sigma` pixels to the composed frame
-    /// (before sensor noise) — models an imperfectly focused automotive
-    /// camera.
-    ///
-    /// # Panics
-    ///
-    /// `build` panics if `sigma` is not finite and positive.
-    #[must_use]
-    pub fn defocus(mut self, sigma: f64) -> Self {
-        self.defocus_sigma = Some(sigma);
         self
     }
 
@@ -191,9 +176,6 @@ impl SceneBuilder {
             });
         }
 
-        if let Some(sigma) = self.defocus_sigma {
-            frame = rtped_image::blur::gaussian_blur(&frame, sigma);
-        }
         add_uniform_noise(&mut frame, &mut rng, self.noise);
         Scene {
             frame,
@@ -268,22 +250,5 @@ mod tests {
             .build();
         assert_eq!(scene.ground_truth[0].width, 96);
         assert_eq!(scene.ground_truth[0].height, 192);
-    }
-
-    #[test]
-    fn defocus_softens_the_frame() {
-        let sharp = SceneBuilder::new(160, 120)
-            .seed(5)
-            .noise(0)
-            .pedestrian_at(64, 128, 0.8, 40, 0)
-            .build();
-        let soft = SceneBuilder::new(160, 120)
-            .seed(5)
-            .noise(0)
-            .defocus(2.0)
-            .pedestrian_at(64, 128, 0.8, 40, 0)
-            .build();
-        assert!(soft.frame.variance() < sharp.frame.variance());
-        assert_eq!(soft.ground_truth, sharp.ground_truth);
     }
 }

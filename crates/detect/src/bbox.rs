@@ -88,15 +88,6 @@ impl BoundingBox {
         px >= self.x && px < self.right() && py >= self.y && py < self.bottom()
     }
 
-    /// The center point (rounded down).
-    #[must_use]
-    pub fn center(&self) -> (i64, i64) {
-        (
-            self.x + (self.width / 2) as i64,
-            self.y + (self.height / 2) as i64,
-        )
-    }
-
     /// Scales the box about the origin by `s` (used to map detections from
     /// a pyramid level back to native frame coordinates).
     ///
@@ -189,13 +180,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_center() {
+    fn contains_is_half_open() {
         let b = BoundingBox::new(10, 20, 4, 6);
         assert!(b.contains(10, 20));
         assert!(b.contains(13, 25));
         assert!(!b.contains(14, 20));
         assert!(!b.contains(10, 26));
-        assert_eq!(b.center(), (12, 23));
     }
 
     #[test]

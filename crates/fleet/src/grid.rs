@@ -198,19 +198,6 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Stable grid-cell label (`fault/scenario/engine/budget`), shared by
-    /// every seed in the cell.
-    #[must_use]
-    pub fn cell_label(&self) -> String {
-        format!(
-            "{}/{}/{}/{}ms",
-            self.fault.label(),
-            self.scenario.name,
-            self.engine.label(),
-            self.budget_ms
-        )
-    }
-
     /// Renders this instance's frame sequence: deterministic synthetic
     /// frames whose per-frame pattern seeds come from a split of the
     /// run seed, so no two runs (or frames) share a pattern stream.
@@ -335,9 +322,16 @@ mod tests {
         let full = campaign(CampaignScale::Full);
         assert_eq!(full.len(), 2016);
         assert!(full.len() >= 1000);
-        // Every instance seed is unique: no two runs share fault and
-        // frame streams.
-        let mut seeds: Vec<(String, u64)> = full.iter().map(|s| (s.cell_label(), s.seed)).collect();
+        // Within a grid cell (fault/scenario/engine/budget) every
+        // instance seed is unique: no two runs share fault and frame
+        // streams.
+        let mut seeds: Vec<_> = full
+            .iter()
+            .map(|s| {
+                let cell = (s.fault.label(), s.scenario.name, s.engine.label());
+                (cell, s.budget_ms.to_bits(), s.seed)
+            })
+            .collect();
         seeds.sort();
         let before = seeds.len();
         seeds.dedup();

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use rtped_image::GrayImage;
 
 use crate::cell;
-use crate::gradient::{grad_lut, GradLut, GradientField, GRAD_LUT_SPAN};
+use crate::gradient::{grad_lut, GradLut, GRAD_LUT_SPAN};
 use crate::params::HogParams;
 
 /// Precomputed bilinear bin-vote split for the unsigned 9-bin geometry,
@@ -181,55 +181,6 @@ impl CellGrid {
         }
     }
 
-    /// Computes cell histograms from a precomputed gradient field: the
-    /// two-stage, hardware-style reference (each pixel votes only into its
-    /// owning cell through [`cell::vote`]) that the fused
-    /// [`CellGrid::compute`] is tested against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field is smaller than one cell.
-    #[must_use]
-    pub fn from_gradients(field: &GradientField, params: &HogParams) -> Self {
-        let cs = params.cell_size();
-        let cells_x = field.width() / cs;
-        let cells_y = field.height() / cs;
-        assert!(
-            cells_x > 0 && cells_y > 0,
-            "image smaller than one {cs}px cell"
-        );
-        let bins = params.bins();
-        let bin_width = params.bin_width();
-        let mut data = vec![0.0f32; cells_x * cells_y * bins];
-
-        for cy in 0..cells_y {
-            for cx in 0..cells_x {
-                let base = (cy * cells_x + cx) * bins;
-                for py in cy * cs..(cy + 1) * cs {
-                    for px in cx * cs..(cx + 1) * cs {
-                        let mag = field.magnitude(px, py);
-                        if mag == 0.0 {
-                            continue;
-                        }
-                        cell::vote(
-                            &mut data[base..base + bins],
-                            field.orientation(px, py),
-                            mag,
-                            bin_width,
-                        );
-                    }
-                }
-            }
-        }
-
-        Self {
-            cells_x,
-            cells_y,
-            bins,
-            data,
-        }
-    }
-
     /// Grid size `(cells_x, cells_y)`.
     #[must_use]
     pub fn cells(&self) -> (usize, usize) {
@@ -287,8 +238,61 @@ impl CellGrid {
 }
 
 #[cfg(test)]
+impl CellGrid {
+    /// Computes cell histograms from a precomputed gradient field: the
+    /// two-stage, hardware-style reference (each pixel votes only into its
+    /// owning cell through [`cell::vote`]) that the fused
+    /// [`CellGrid::compute`] is tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field is smaller than one cell.
+    #[must_use]
+    pub fn from_gradients(field: &crate::gradient::GradientField, params: &HogParams) -> Self {
+        let cs = params.cell_size();
+        let cells_x = field.width() / cs;
+        let cells_y = field.height() / cs;
+        assert!(
+            cells_x > 0 && cells_y > 0,
+            "image smaller than one {cs}px cell"
+        );
+        let bins = params.bins();
+        let bin_width = params.bin_width();
+        let mut data = vec![0.0f32; cells_x * cells_y * bins];
+
+        for cy in 0..cells_y {
+            for cx in 0..cells_x {
+                let base = (cy * cells_x + cx) * bins;
+                for py in cy * cs..(cy + 1) * cs {
+                    for px in cx * cs..(cx + 1) * cs {
+                        let mag = field.magnitude(px, py);
+                        if mag == 0.0 {
+                            continue;
+                        }
+                        cell::vote(
+                            &mut data[base..base + bins],
+                            field.orientation(px, py),
+                            mag,
+                            bin_width,
+                        );
+                    }
+                }
+            }
+        }
+
+        Self {
+            cells_x,
+            cells_y,
+            bins,
+            data,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient::GradientField;
 
     fn params() -> HogParams {
         HogParams::pedestrian()

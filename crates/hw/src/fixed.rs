@@ -2,9 +2,7 @@
 //!
 //! The accelerator's feature datapath uses a signed Q-format with a
 //! compile-time fractional width. Arithmetic saturates instead of wrapping
-//! (the safe synthesis choice for accumulating datapaths) and
-//! multiplication rounds to nearest, which is what a DSP48 post-adder with
-//! a carry-in rounding constant produces.
+//! (the safe synthesis choice for accumulating datapaths).
 
 /// A signed fixed-point number with `FRAC` fractional bits in an `i32`.
 ///
@@ -18,14 +16,13 @@
 ///
 /// let a = Fx::<15>::from_f32(0.5);
 /// let b = Fx::<15>::from_f32(0.25);
-/// assert!((a.mul(b).to_f32() - 0.125).abs() < 1e-4);
 /// assert!((a.add(b).to_f32() - 0.75).abs() < 1e-4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fx<const FRAC: u32>(i32);
 
 // The arithmetic methods intentionally shadow the std::ops names: they
-// are *saturating*, so implementing the `Add`/`Mul`/... traits (whose
+// are *saturating*, so implementing the `Add`/`Sub` traits (whose
 // contract is plain arithmetic) would be misleading at call sites.
 #[allow(clippy::should_implement_trait)]
 impl<const FRAC: u32> Fx<FRAC> {
@@ -35,8 +32,6 @@ impl<const FRAC: u32> Fx<FRAC> {
     pub const MIN: Self = Self(i32::MIN);
     /// Zero.
     pub const ZERO: Self = Self(0);
-    /// One (`1 << FRAC`).
-    pub const ONE: Self = Self(1 << FRAC);
 
     /// Wraps a raw register value.
     #[must_use]
@@ -73,14 +68,6 @@ impl<const FRAC: u32> Fx<FRAC> {
     #[must_use]
     pub fn sub(self, rhs: Self) -> Self {
         Self(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Saturating multiplication with round-to-nearest.
-    #[must_use]
-    pub fn mul(self, rhs: Self) -> Self {
-        let wide = i64::from(self.0) * i64::from(rhs.0);
-        let rounded = (wide + (1i64 << (FRAC - 1))) >> FRAC;
-        Self(rounded.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32)
     }
 
     /// Clamps to `[lo, hi]`.
@@ -137,36 +124,6 @@ mod tests {
         for v in [-1.0f32, -0.5, 0.0, 0.125, 0.2, 0.999, 1.0] {
             let q = Q15::from_f32(v);
             assert!((q.to_f32() - v).abs() < 1.0 / 32768.0 + 1e-7, "{v}");
-        }
-    }
-
-    #[test]
-    fn one_is_exact() {
-        assert_eq!(Q15::ONE.to_f32(), 1.0);
-        assert_eq!(Q12::ONE.raw(), 1 << 12);
-    }
-
-    #[test]
-    fn mul_rounds_to_nearest() {
-        // 3/32768 * 1/2 = 1.5/32768 -> rounds to 2/32768.
-        let a = Q15::from_raw(3);
-        let half = Q15::from_f32(0.5);
-        assert_eq!(a.mul(half).raw(), 2);
-    }
-
-    #[test]
-    fn mul_matches_float_within_one_ulp() {
-        for i in -50..50 {
-            for j in -50..50 {
-                let a = i as f32 * 0.013;
-                let b = j as f32 * 0.017;
-                let q = Q12::from_f32(a).mul(Q12::from_f32(b)).to_f32();
-                assert!(
-                    (q - a * b).abs() < 3.0 / 4096.0,
-                    "{a} * {b}: {q} vs {}",
-                    a * b
-                );
-            }
         }
     }
 

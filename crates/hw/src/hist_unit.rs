@@ -40,14 +40,6 @@ impl HwCellGrid {
         let base = (cy * self.cells_x + cx) * BINS;
         &self.data[base..base + BINS]
     }
-
-    /// Converts to the float reference representation (dividing out the
-    /// Q0.8 weight scale) for golden-model comparisons.
-    #[must_use]
-    pub fn to_float_grid(&self) -> rtped_hog::grid::CellGrid {
-        let data: Vec<f32> = self.data.iter().map(|&v| v as f32 / 256.0).collect();
-        rtped_hog::grid::CellGrid::from_raw(self.cells_x, self.cells_y, BINS, data)
-    }
 }
 
 /// The streaming histogram unit.
@@ -109,6 +101,17 @@ impl HistogramUnit {
     #[must_use]
     pub fn cycles(&self, width: usize, height: usize) -> u64 {
         (width as u64) * (height as u64)
+    }
+}
+
+#[cfg(test)]
+impl HwCellGrid {
+    /// Converts to the float reference representation (dividing out the
+    /// Q0.8 weight scale) for golden-model comparisons.
+    #[must_use]
+    pub fn to_float_grid(&self) -> rtped_hog::grid::CellGrid {
+        let data: Vec<f32> = self.data.iter().map(|&v| v as f32 / 256.0).collect();
+        rtped_hog::grid::CellGrid::from_raw(self.cells_x, self.cells_y, BINS, data)
     }
 }
 

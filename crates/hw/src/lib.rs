@@ -66,6 +66,6 @@ pub mod verify;
 pub use ecc::EccMode;
 pub use integrity::{IntegrityConfig, IntegrityFault, IntegrityReport, SoftErrorDose, ECC_ENV};
 pub use pipeline::{AcceleratorConfig, AcceleratorReport, HogAccelerator};
-pub use shard::{QuarantinePolicy, ShardConfig, ShardFleet, ShardGeometry};
+pub use shard::{ShardConfig, ShardFleet, ShardGeometry};
 pub use stream::StreamStats;
 pub use timing::ClockDomain;

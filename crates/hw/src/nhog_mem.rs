@@ -141,12 +141,6 @@ impl NhogMem {
         self.ecc_mode.code_bits()
     }
 
-    /// Feature words currently resident (over all rows in the ring).
-    #[must_use]
-    pub fn resident_words(&self) -> usize {
-        self.rows.len() * self.cells_x * CELL_FEATURES
-    }
-
     /// Which bank the feature `(cx, cy, role)` lives in: 2×2 cell parity
     /// crossed with the role index.
     #[must_use]
@@ -245,25 +239,6 @@ impl NhogMem {
         }
     }
 
-    /// Flips bit `bit` of the `word`-th resident stored word (flat index
-    /// over the ring in eviction order) — the soft-error injection hook.
-    /// Returns `false` without touching anything when the ring is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word >= resident_words()` (with a non-empty ring) or
-    /// `bit >= word_bits()`.
-    pub fn inject_bit_flip(&mut self, word: usize, bit: u32) -> bool {
-        if self.rows.is_empty() {
-            return false;
-        }
-        assert!(word < self.resident_words(), "word index out of range");
-        assert!(bit < self.word_bits(), "bit index out of range");
-        let row_words = self.cells_x * CELL_FEATURES;
-        self.rows[word / row_words].1[word % row_words] ^= 1u64.wrapping_shl(bit);
-        true
-    }
-
     /// Flips bit `bit` of word `word_in_row` of resident cell row `cy` —
     /// the injection hook used by the engine's per-strip dose, which
     /// targets rows it knows are still scheduled for reads. Returns
@@ -347,13 +322,6 @@ impl NhogMem {
     #[must_use]
     pub fn capacity_rows(&self) -> usize {
         self.capacity_rows
-    }
-
-    /// Total storage in feature words (for the resource model):
-    /// `capacity_rows × cells_x × 36` (18 rows in the paper design).
-    #[must_use]
-    pub fn capacity_words(&self) -> usize {
-        self.capacity_rows * self.cells_x * CELL_FEATURES
     }
 }
 
@@ -439,6 +407,16 @@ pub fn analyze_column_pair_access(layout: BankLayout, cx: usize, cy_top: usize) 
         // The per-bank max is never below the floor average, so this
         // cannot underflow; saturating keeps the schedule total anyway.
         stall_cycles: min_cycles.saturating_sub(total_words / BANKS as u64),
+    }
+}
+
+#[cfg(test)]
+impl NhogMem {
+    /// Total storage in feature words (for the resource model):
+    /// `capacity_rows × cells_x × 36` (18 rows in the paper design).
+    #[must_use]
+    pub fn capacity_words(&self) -> usize {
+        self.capacity_rows * self.cells_x * CELL_FEATURES
     }
 }
 
@@ -613,7 +591,7 @@ mod tests {
         mem.load_rows_through(&m, 17);
         // Flip a high bit of word 3 of resident row 0 (cy = 0): the read
         // must still return the exact map data.
-        assert!(mem.inject_bit_flip(3, 38));
+        assert!(mem.inject_bit_flip_in_row(0, 3, 38));
         let col = mem.read_window_column(0, 0, 16);
         assert_eq!(&col[0..CELL_FEATURES], m.cell(0, 0));
         assert_eq!(mem.ecc_stats().corrected_total(), 1);
@@ -627,8 +605,8 @@ mod tests {
         let m = map(8, 20);
         let mut mem = NhogMem::with_ecc(8, EccMode::Secded);
         mem.load_rows_through(&m, 17);
-        assert!(mem.inject_bit_flip(3, 5));
-        assert!(mem.inject_bit_flip(3, 21));
+        assert!(mem.inject_bit_flip_in_row(0, 3, 5));
+        assert!(mem.inject_bit_flip_in_row(0, 3, 21));
         let _ = mem.read_window_column(0, 0, 16);
         assert_eq!(mem.ecc_stats().uncorrectable_total(), 1);
     }

@@ -40,8 +40,6 @@ use crate::timing::{pixel_stream_cycles, ClockDomain};
 /// Accelerator configuration.
 #[derive(Debug, Clone)]
 pub struct AcceleratorConfig {
-    /// Design clock (125 MHz in the paper).
-    pub clock: ClockDomain,
     /// Detection scales; the first must be 1.0 (the native map). The
     /// paper implements two (§5: "only two scales ... have been
     /// considered" on the ZC7020).
@@ -58,7 +56,6 @@ pub struct AcceleratorConfig {
 impl Default for AcceleratorConfig {
     fn default() -> Self {
         Self {
-            clock: ClockDomain::MHZ_125,
             scales: vec![1.0, 1.5],
             threshold: 0.0,
             nms_iou: Some(0.3),

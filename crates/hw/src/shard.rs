@@ -20,10 +20,10 @@
 //!   [`SoftErrorDose`] into per-band doses, so a sharded run injects the
 //!   same *amount* of upsets as the single-instance run while every
 //!   placement stays a pure function of the dose seed.
-//! - [`ShardFleet`] + [`QuarantinePolicy`]: the fault-containment state
-//!   machine. A shard whose band raises an integrity fault is
-//!   quarantined for a hysteretic cooldown (exponential backoff on
-//!   repeat offenders, strike decay after a clean streak), its band is
+//! - [`ShardFleet`]: the fault-containment state machine. A shard whose
+//!   band raises an integrity fault is quarantined for a hysteretic
+//!   cooldown ([`COOLDOWN_FRAMES`], exponential backoff on repeat
+//!   offenders, strike decay after a clean streak), its band is
 //!   deterministically reassigned to a healthy shard, and a fleet with
 //!   no healthy shard left reports exhaustion instead of output.
 //!
@@ -278,27 +278,13 @@ pub fn shard_doses(dose: &SoftErrorDose, shards: usize) -> Vec<SoftErrorDose> {
     out
 }
 
-/// Hysteresis knobs of the quarantine state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuarantinePolicy {
-    /// Frames a first-strike quarantine lasts.
-    pub cooldown_frames: u32,
-    /// Cap on the exponential backoff: the cooldown doubles per strike
-    /// up to `cooldown_frames << max_backoff_shift`.
-    pub max_backoff_shift: u32,
-    /// Clean frames a healthy shard must serve before one strike decays.
-    pub strike_decay_frames: u32,
-}
-
-impl Default for QuarantinePolicy {
-    fn default() -> Self {
-        Self {
-            cooldown_frames: 4,
-            max_backoff_shift: 3,
-            strike_decay_frames: 8,
-        }
-    }
-}
+/// Frames a first-strike quarantine lasts.
+pub const COOLDOWN_FRAMES: u32 = 4;
+/// Cap on the exponential backoff: the cooldown doubles per strike up to
+/// `COOLDOWN_FRAMES << MAX_BACKOFF_SHIFT`.
+pub const MAX_BACKOFF_SHIFT: u32 = 3;
+/// Clean frames a healthy shard must serve before one strike decays.
+pub const STRIKE_DECAY_FRAMES: u32 = 8;
 
 /// A validated sharded-deployment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,13 +293,10 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Per-shard hardware geometry.
     pub geometry: ShardGeometry,
-    /// Quarantine hysteresis.
-    pub policy: QuarantinePolicy,
 }
 
 impl ShardConfig {
-    /// Validates a fleet of `shards` instances of `geometry` with the
-    /// default quarantine policy.
+    /// Validates a fleet of `shards` instances of `geometry`.
     ///
     /// # Errors
     ///
@@ -324,18 +307,7 @@ impl ShardConfig {
                 "shard count must be in 1..=16, got {shards}"
             )));
         }
-        Ok(Self {
-            shards,
-            geometry,
-            policy: QuarantinePolicy::default(),
-        })
-    }
-
-    /// Replaces the quarantine policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: QuarantinePolicy) -> Self {
-        self.policy = policy;
-        self
+        Ok(Self { shards, geometry })
     }
 }
 
@@ -388,7 +360,6 @@ impl ShardState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFleet {
     geometry: ShardGeometry,
-    policy: QuarantinePolicy,
     states: Vec<ShardState>,
     quarantines: u64,
     failovers: u64,
@@ -401,7 +372,6 @@ impl ShardFleet {
     pub fn new(config: &ShardConfig) -> Self {
         Self {
             geometry: config.geometry,
-            policy: config.policy,
             states: (0..config.shards.max(1))
                 .map(|_| ShardState::new())
                 .collect(),
@@ -458,7 +428,7 @@ impl ShardFleet {
                 }
                 ShardHealth::Healthy => {
                     state.clean_streak += 1;
-                    if state.strikes > 0 && state.clean_streak >= self.policy.strike_decay_frames {
+                    if state.strikes > 0 && state.clean_streak >= STRIKE_DECAY_FRAMES {
                         state.strikes -= 1;
                         state.clean_streak = 0;
                     }
@@ -476,17 +446,12 @@ impl ShardFleet {
     ///
     /// Panics if `shard` is out of range.
     pub fn quarantine(&mut self, shard: usize) -> u32 {
-        let policy = self.policy;
         let state = &mut self.states[shard];
         state.faults += 1;
         state.strikes += 1;
         state.clean_streak = 0;
-        let shift = (state.strikes - 1).min(policy.max_backoff_shift);
-        let cooldown = policy
-            .cooldown_frames
-            .max(1)
-            .checked_shl(shift)
-            .unwrap_or(u32::MAX);
+        let shift = (state.strikes - 1).min(MAX_BACKOFF_SHIFT);
+        let cooldown = COOLDOWN_FRAMES.checked_shl(shift).unwrap_or(u32::MAX);
         state.health = ShardHealth::Quarantined {
             remaining_frames: cooldown,
         };
@@ -688,7 +653,7 @@ mod tests {
             f.begin_frame();
         }
         assert_eq!(f.quarantine(0), 16);
-        // The shift caps at max_backoff_shift: from the 4th strike on
+        // The shift caps at MAX_BACKOFF_SHIFT: from the 4th strike on
         // the cooldown stays at 4 << 3 = 32.
         for strike in 4u32..7 {
             for _ in 0..64 {

@@ -24,7 +24,7 @@ use rtped_detect::detector::Detection;
 use rtped_image::GrayImage;
 
 use crate::pipeline::HogAccelerator;
-use crate::timing::{pixel_stream_cycles, ClockDomain};
+use crate::timing::pixel_stream_cycles;
 
 /// Timing of one frame through the pipelined accelerator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,12 +62,6 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    /// Sustained throughput in frames per second.
-    #[must_use]
-    pub fn sustained_fps(&self, clock: ClockDomain) -> f64 {
-        clock.fps(self.initiation_interval)
-    }
-
     /// Worst-case detection latency over the processed frames.
     #[must_use]
     pub fn max_latency_cycles(&self) -> u64 {
@@ -234,6 +228,7 @@ mod tests {
     use super::*;
     use crate::pipeline::AcceleratorConfig;
     use crate::shard::ShardGeometry;
+    use crate::timing::ClockDomain;
     use rtped_svm::LinearSvm;
 
     fn frames(n: usize, w: usize, h: usize) -> Vec<GrayImage> {
@@ -301,7 +296,6 @@ mod tests {
         let stream = pixel_stream_cycles(160, 128);
         let classifier = ShardGeometry::paper().frame_cycles(20, 16);
         assert_eq!(report.initiation_interval, stream.max(classifier));
-        assert!(report.sustained_fps(ClockDomain::MHZ_125) > 0.0);
     }
 
     fn simulator_at(geometry: ShardGeometry) -> StreamSimulator {

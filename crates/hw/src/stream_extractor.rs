@@ -86,19 +86,6 @@ impl StreamingExtractor {
         self.cells_x
     }
 
-    /// Ticks elapsed.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.tick
-    }
-
-    /// Words of line-buffer storage the design instantiates (2 delay
-    /// lines; the third "line" is the live input).
-    #[must_use]
-    pub fn line_buffer_words(&self) -> usize {
-        2 * self.width
-    }
-
     /// Consumes one pixel; returns a completed cell row if this tick
     /// finished one.
     pub fn tick(&mut self, pixel: u8) -> Option<CellRowEvent> {
@@ -216,6 +203,22 @@ pub fn stream_frame(img: &GrayImage) -> Vec<CellRowEvent> {
     }
     events.extend(extractor.drain(img.height()));
     events
+}
+
+#[cfg(test)]
+impl StreamingExtractor {
+    /// Ticks elapsed.
+    #[must_use]
+    pub fn ticks(&self) -> u64 {
+        self.tick
+    }
+
+    /// Words of line-buffer storage the design instantiates (2 delay
+    /// lines; the third "line" is the live input).
+    #[must_use]
+    pub fn line_buffer_words(&self) -> usize {
+        2 * self.width
+    }
 }
 
 #[cfg(test)]

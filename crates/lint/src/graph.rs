@@ -315,6 +315,23 @@ fn crate_aliases(
     out
 }
 
+/// The index of the `;` ending a `use` declaration whose path starts at
+/// `start`, jumping over brace groups; past the end of the stream when
+/// malformed input leaves it unterminated (an unclosed group runs to the
+/// end).
+#[must_use]
+pub fn use_decl_end(toks: &[LexToken], start: usize) -> usize {
+    let mut end = start;
+    while end < toks.len() && !toks[end].is_punct(";") {
+        end = if toks[end].is_punct("{") {
+            matching(toks, end).map_or(toks.len(), |c| c + 1)
+        } else {
+            end + 1
+        };
+    }
+    end
+}
+
 /// Path resolution context for one file.
 struct Resolver<'a> {
     rel: &'a str,
@@ -330,17 +347,7 @@ impl Resolver<'_> {
     /// into `out`. Returns the token index one past the declaration's `;`
     /// (or wherever scanning stopped on malformed input).
     fn resolve_use(&self, toks: &[LexToken], start: usize, out: &mut Vec<String>) -> usize {
-        // Collect the declaration's tokens up to the terminating `;`,
-        // jumping over brace groups (an unclosed one runs to the end of
-        // the stream).
-        let mut end = start;
-        while end < toks.len() && !toks[end].is_punct(";") {
-            end = if toks[end].is_punct("{") {
-                matching(toks, end).map_or(toks.len(), |c| c + 1)
-            } else {
-                end + 1
-            };
-        }
+        let end = use_decl_end(toks, start);
         let decl = &toks[start..end.min(toks.len())];
         let mut i = 0;
         while i < decl.len() {

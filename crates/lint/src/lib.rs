@@ -14,8 +14,9 @@
 //!   from `use`/`mod` declarations and qualified path heads;
 //! - [`rules`] — the per-file rule engine with suppression pragmas,
 //!   plus the [`arith`] overflow audit;
-//! - [`locks`] and [`taint`] — the cross-cutting rules (lock ordering,
-//!   determinism taint, hash-iteration) that need the whole workspace;
+//! - [`locks`], [`taint`] and [`items`] — the cross-cutting rules (lock
+//!   ordering, determinism taint, hash-iteration, item reachability) that
+//!   need the whole workspace;
 //! - [`walk`] — the deterministic workspace file walker.
 //!
 //! The `rtped-lint` binary ties them into a CI gate that emits
@@ -28,6 +29,7 @@
 
 pub mod arith;
 pub mod graph;
+pub mod items;
 pub mod lexer;
 pub mod locks;
 pub mod rules;
@@ -187,8 +189,14 @@ pub fn run_filtered(root: &Path, prefix: Option<&str>) -> std::io::Result<Worksp
         analyses.push((rel.clone(), analysis));
     }
 
+    // The benchmark package's sources: use sites for `unreached-item`.
+    let mut use_only: Vec<Vec<lexer::LexToken>> = Vec::new();
+    for path in walk::use_only_files(root)? {
+        use_only.push(lexer::lex(&std::fs::read_to_string(&path)?).toks);
+    }
+
     // Cross-cutting pass: module graph, lock nesting, determinism taint,
-    // module reachability.
+    // module and item reachability.
     let rels: Vec<String> = toks_map.keys().cloned().collect();
     let crate_table = graph::crate_roots(root, &rels);
     let module_graph = graph::build(&crate_table, &toks_map);
@@ -200,6 +208,7 @@ pub fn run_filtered(root: &Path, prefix: Option<&str>) -> std::io::Result<Worksp
     locks::check_cycles(&lock_edges, &mut cross);
     taint::check(&module_graph, &toks_map, &tests_map, &mut cross);
     graph::check_unreached(&module_graph, &mut cross);
+    items::check(&module_graph, &toks_map, &tests_map, &use_only, &mut cross);
 
     // Resolution pass: route cross-cutting violations through their
     // anchor file's pragmas, then aggregate.

@@ -41,9 +41,14 @@
 //! - `unreached-module` ([`crate::graph`]) — every file declared with
 //!   `mod m;` must be reached over `use` edges from a binary, example or
 //!   integration test.
+//! - `unreached-item` ([`crate::items`]) — every bare-`pub` item of a
+//!   library module must be named somewhere other than its definition,
+//!   `use` declarations and its own file's `#[cfg(test)]` code; binaries,
+//!   examples, integration tests, other files' tests and `dasbench/src`
+//!   count as uses.
 //!
 //! The per-file rules run over the [`crate::lexer`] token stream, and the
-//! pragma and `SAFETY:` checks over its comment trivia; the last five are
+//! pragma and `SAFETY:` checks over its comment trivia; the last six are
 //! cross-cutting and are orchestrated by [`crate::run_workspace`] on top
 //! of the per-file [`Analysis`] this module produces.
 //!
@@ -83,6 +88,8 @@ pub const LOCK_ORDER: &str = "lock-order";
 pub const DET_TAINT: &str = "determinism-taint";
 /// Rule: `mod` declarations no binary, example or test reaches.
 pub const UNREACHED_MODULE: &str = "unreached-module";
+/// Rule: `pub` library items nothing outside their own tests names.
+pub const UNREACHED_ITEM: &str = "unreached-item";
 
 /// Every suppressible rule name (the pragma parser validates against
 /// this; `suppression-pragma` itself is deliberately not suppressible).
@@ -99,6 +106,7 @@ pub const RULES: &[&str] = &[
     LOCK_ORDER,
     DET_TAINT,
     UNREACHED_MODULE,
+    UNREACHED_ITEM,
 ];
 
 /// One reported violation.
@@ -399,8 +407,7 @@ fn has_safety_comment(toks: &[LexToken], comments: &[(usize, &str)], line: usize
 /// Lexes one file and runs every per-file rule (including the
 /// [`crate::arith`] overflow audit), leaving the raw violations
 /// unsuppressed. The workspace pass layers the cross-cutting rules on
-/// top before calling [`resolve`]; single-file callers go straight
-/// through [`check_source`].
+/// top before calling [`resolve`].
 #[must_use]
 pub fn analyze(rel: &str, src: &str) -> Analysis {
     let lexed = lex(src);
@@ -606,16 +613,15 @@ pub fn resolve(analysis: &Analysis, extra: Vec<Violation>) -> FileOutcome {
     out
 }
 
-/// Runs every per-file rule over one file. `rel` is the workspace-relative
-/// path with `/` separators.
-#[must_use]
-pub fn check_source(rel: &str, src: &str) -> FileOutcome {
-    resolve(&analyze(rel, src), Vec::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs every per-file rule over one file. `rel` is the
+    /// workspace-relative path with `/` separators.
+    fn check_source(rel: &str, src: &str) -> FileOutcome {
+        resolve(&analyze(rel, src), Vec::new())
+    }
 
     #[test]
     fn env_var_is_flagged_outside_core_env() {

@@ -6,7 +6,9 @@
 //! `fixtures` are skipped — the lint crate's own fixture corpus contains
 //! deliberate violations and is exercised explicitly, not swept up in the
 //! workspace pass. The file list is sorted by relative path so reports
-//! are deterministic across hosts and filesystems.
+//! are deterministic across hosts and filesystems. The benchmark
+//! package's `dasbench/src` is listed apart ([`use_only_files`]): it
+//! only supplies use sites.
 
 use std::path::{Path, PathBuf};
 
@@ -48,6 +50,19 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
         })
         .collect();
     out.sort_by(|a, b| a.1.cmp(&b.1));
+    Ok(out)
+}
+
+/// The benchmark package's sources (`dasbench/src`), sorted: read for
+/// the use sites of library items only (see [`crate::items`]), never
+/// linted, so they count toward no file total.
+pub fn use_only_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut out = Vec::new();
+    let dir = root.join("dasbench").join("src");
+    if dir.is_dir() {
+        collect(&dir, &mut out)?;
+    }
+    out.sort();
     Ok(out)
 }
 

@@ -1,7 +1,7 @@
 //! Integration tests over the fixture corpora: `tests/fixtures/bad` holds
 //! at least one known-bad file per rule (plus a pragma with no
 //! justification) and must light up every rule — the per-file rules, the
-//! overflow audit, and the four graph rules; `tests/fixtures/good`
+//! overflow audit, and the five graph rules; `tests/fixtures/good`
 //! mirrors the sanctioned layout and must lint clean with exactly one
 //! justified suppression.
 
@@ -35,6 +35,7 @@ fn bad_corpus_fires_every_rule() {
         rules::LOCK_ORDER,
         rules::DET_TAINT,
         rules::UNREACHED_MODULE,
+        rules::UNREACHED_ITEM,
         rules::SUPPRESSION_PRAGMA,
     ] {
         assert!(
@@ -63,8 +64,14 @@ fn bad_corpus_flags_the_expected_sites() {
         ("crates/core/src/knobs.rs", 4, rules::RAW_ENV),
         ("crates/core/src/pragma.rs", 5, rules::SUPPRESSION_PRAGMA),
         ("crates/core/src/pragma.rs", 6, rules::UNWRAP_IN_LIB),
+        // `pub` items named only by their own file's tests, by a `pub use`
+        // re-export, or by nothing at all.
+        ("crates/dataset/src/lib.rs", 4, rules::UNREACHED_ITEM),
+        ("crates/dataset/src/lib.rs", 8, rules::UNREACHED_ITEM),
+        ("crates/dataset/src/lib.rs", 13, rules::UNREACHED_ITEM),
         // A crate root declaring a module no root reaches.
         ("crates/eval/src/lib.rs", 3, rules::UNREACHED_MODULE),
+        ("crates/eval/src/det.rs", 3, rules::UNREACHED_ITEM),
         // Nested acquisition with no declared order, then a reentrant one.
         ("crates/fleet/src/locky.rs", 7, rules::LOCK_ORDER),
         ("crates/fleet/src/locky.rs", 14, rules::LOCK_ORDER),
@@ -104,7 +111,8 @@ fn bad_corpus_flags_the_expected_sites() {
 #[test]
 fn good_corpus_lints_clean_with_one_justified_suppression() {
     let out = run_workspace(&fixture("good")).expect("good corpus readable");
-    assert_eq!(out.files_scanned, 7);
+    // `dasbench/src` supplies use sites but is not scanned.
+    assert_eq!(out.files_scanned, 10);
     assert!(out.violations.is_empty(), "{:?}", out.violations);
     assert_eq!(out.suppressions.len(), 1, "{:?}", out.suppressions);
     let s = &out.suppressions[0];
@@ -132,7 +140,7 @@ fn json_report_is_canonical_and_complete() {
     let report = out.to_json().to_string();
     assert!(report.starts_with("{\"format\":2"), "{report}");
     assert!(report.contains("\"tool\":\"rtped-lint\""), "{report}");
-    assert!(report.contains("\"files_scanned\":14"), "{report}");
+    assert!(report.contains("\"files_scanned\":15"), "{report}");
     assert!(report.contains("examples/clocky.rs"), "{report}");
     // Every rule gets its own section, present even when empty.
     for rule in rules::RULES.iter().chain([&rules::SUPPRESSION_PRAGMA]) {

@@ -6,9 +6,9 @@
 //! `DetectorBuilder` from the detect crate:
 //!
 //! - [`RuntimeConfig::default`] is **environment-free**: pure DAS-derived
-//!   defaults (15 ms budget, default hysteresis/cost model/tracker,
-//!   ambient worker pool, SECDED ECC), so library behavior never depends
-//!   on ambient process state unless a caller asks for it.
+//!   defaults (15 ms budget, default cost model, ambient worker pool,
+//!   SECDED ECC), so library behavior never depends on ambient process
+//!   state unless a caller asks for it.
 //! - [`RuntimeConfigBuilder`] validates every field up front and returns
 //!   [`Error::InvalidInput`] instead of panicking.
 //! - [`RuntimeConfigBuilder::env_overrides`] resolves the three `RTPED_*`
@@ -19,12 +19,10 @@
 
 use rtped_core::Error;
 use rtped_detect::das::DasParams;
-use rtped_detect::tracker::TrackerParams;
 use rtped_detect::Datapath;
 use rtped_hw::integrity::ECC_ENV;
 use rtped_hw::EccMode;
 
-use crate::control::DegradationPolicy;
 use crate::deadline::{CostModel, DeadlineBudget, DEADLINE_ENV};
 
 /// Environment variable selecting the scoring datapath (`"f32"`/`"i16"`).
@@ -39,12 +37,8 @@ pub const TEMPORAL_ENV: &str = "RTPED_TEMPORAL";
 pub struct RuntimeConfig {
     /// Per-frame deadline.
     pub budget: DeadlineBudget,
-    /// Escalation/recovery hysteresis.
-    pub policy: DegradationPolicy,
     /// The deterministic latency model.
     pub cost_model: CostModel,
-    /// Tracker used for `SafeFallback` coasting.
-    pub tracker: TrackerParams,
     /// Worker-pool size for serving layers built on this config; `None`
     /// defers to the ambient [`rtped_core::par::threads`] resolution.
     pub threads: Option<usize>,
@@ -85,14 +79,12 @@ impl RuntimeConfig {
 
 impl Default for RuntimeConfig {
     /// Environment-free DAS defaults: 15 ms budget (1% of the 1.5 s
-    /// perception-reaction time), default hysteresis, default cost model
-    /// and tracker, ambient worker pool, SECDED ECC.
+    /// perception-reaction time), default cost model, ambient worker
+    /// pool, SECDED ECC.
     fn default() -> Self {
         Self {
             budget: DeadlineBudget::from_das(&DasParams::default()),
-            policy: DegradationPolicy::default(),
             cost_model: CostModel::default(),
-            tracker: TrackerParams::default(),
             threads: None,
             ecc: EccMode::Secded,
             datapath: Datapath::F32,
@@ -105,9 +97,7 @@ impl Default for RuntimeConfig {
 #[derive(Debug, Clone)]
 pub struct RuntimeConfigBuilder {
     deadline_ms: f64,
-    policy: DegradationPolicy,
     cost_model: CostModel,
-    tracker: TrackerParams,
     threads: Option<usize>,
     ecc: EccMode,
     datapath: Datapath,
@@ -119,9 +109,7 @@ impl RuntimeConfigBuilder {
         let defaults = RuntimeConfig::default();
         Self {
             deadline_ms: defaults.budget.frame_budget_ms,
-            policy: defaults.policy,
             cost_model: defaults.cost_model,
-            tracker: defaults.tracker,
             threads: defaults.threads,
             ecc: defaults.ecc,
             datapath: defaults.datapath,
@@ -137,31 +125,10 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets the deadline from an existing budget.
-    #[must_use]
-    pub fn budget(mut self, budget: DeadlineBudget) -> Self {
-        self.deadline_ms = budget.frame_budget_ms;
-        self
-    }
-
-    /// Sets the escalation/recovery hysteresis.
-    #[must_use]
-    pub fn policy(mut self, policy: DegradationPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets the deterministic latency model.
     #[must_use]
     pub fn cost_model(mut self, cost_model: CostModel) -> Self {
         self.cost_model = cost_model;
-        self
-    }
-
-    /// Sets the coasting tracker's parameters.
-    #[must_use]
-    pub fn tracker(mut self, tracker: TrackerParams) -> Self {
-        self.tracker = tracker;
         self
     }
 
@@ -260,9 +227,8 @@ impl RuntimeConfigBuilder {
     ///
     /// Returns [`Error::InvalidInput`] when the deadline is not finite
     /// and positive, the thread override is zero or above
-    /// [`rtped_core::par::MAX_THREADS`], the hysteresis policy is
-    /// degenerate (zero streaks, margin outside `(0, 1]`), or a cost rate
-    /// is negative or non-finite.
+    /// [`rtped_core::par::MAX_THREADS`], or a cost rate is negative or
+    /// non-finite.
     pub fn build(self) -> Result<RuntimeConfig, Error> {
         if !(self.deadline_ms.is_finite() && self.deadline_ms > 0.0) {
             return Err(Error::invalid_input(format!(
@@ -277,20 +243,6 @@ impl RuntimeConfigBuilder {
                     rtped_core::par::MAX_THREADS
                 )));
             }
-        }
-        if self.policy.recover_after == 0 {
-            return Err(Error::invalid_input("recover_after must be at least 1"));
-        }
-        if !(self.policy.recover_margin > 0.0 && self.policy.recover_margin <= 1.0) {
-            return Err(Error::invalid_input(format!(
-                "recover_margin must be in (0, 1], got {}",
-                self.policy.recover_margin
-            )));
-        }
-        if self.policy.max_consecutive_errors == 0 {
-            return Err(Error::invalid_input(
-                "max_consecutive_errors must be at least 1",
-            ));
         }
         for (name, rate) in [
             (
@@ -310,9 +262,7 @@ impl RuntimeConfigBuilder {
         }
         Ok(RuntimeConfig {
             budget: DeadlineBudget::from_ms(self.deadline_ms),
-            policy: self.policy,
             cost_model: self.cost_model,
-            tracker: self.tracker,
             threads: self.threads,
             ecc: self.ecc,
             datapath: self.datapath,
@@ -343,17 +293,11 @@ mod tests {
             .ecc(EccMode::Off)
             .datapath(Datapath::I16)
             .temporal(true)
-            .policy(DegradationPolicy {
-                recover_after: 2,
-                recover_margin: 0.5,
-                max_consecutive_errors: 7,
-            })
             .build()
             .unwrap();
         assert!((config.budget.frame_budget_ms - 8.0).abs() < 1e-12);
         assert_eq!(config.threads, Some(4));
         assert_eq!(config.ecc, EccMode::Off);
-        assert_eq!(config.policy.recover_after, 2);
         assert_eq!(config.datapath, Datapath::I16);
         assert!(config.temporal);
     }
@@ -370,13 +314,6 @@ mod tests {
             (
                 "threads-high",
                 RuntimeConfig::builder().threads(rtped_core::par::MAX_THREADS + 1),
-            ),
-            (
-                "margin",
-                RuntimeConfig::builder().policy(DegradationPolicy {
-                    recover_margin: 1.5,
-                    ..DegradationPolicy::default()
-                }),
             ),
             (
                 "cost",

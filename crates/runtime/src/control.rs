@@ -14,10 +14,9 @@
 //!
 //! Escalation is immediate (one step per bad frame; an error burst jumps
 //! straight to `SafeFallback`). Recovery is hysteretic: the controller
-//! steps back one rung only after [`DegradationPolicy::recover_after`]
-//! consecutive frames land under [`DegradationPolicy::recover_margin`] ×
-//! budget, so a workload oscillating near the deadline settles at a
-//! stable rung instead of flapping.
+//! steps back one rung only after [`RECOVER_AFTER`] consecutive frames
+//! land under [`RECOVER_MARGIN`] × budget, so a workload oscillating near
+//! the deadline settles at a stable rung instead of flapping.
 
 use std::fmt;
 
@@ -185,27 +184,13 @@ pub struct Transition {
     pub cause: TransitionCause,
 }
 
-/// Hysteresis knobs for the controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationPolicy {
-    /// Consecutive good frames required before stepping back one rung.
-    pub recover_after: usize,
-    /// A frame counts toward recovery only if its latency is below this
-    /// fraction of the budget (margin < 1 prevents flapping at the edge).
-    pub recover_margin: f64,
-    /// Consecutive frame errors that jump the state to `SafeFallback`.
-    pub max_consecutive_errors: usize,
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        Self {
-            recover_after: 5,
-            recover_margin: 0.7,
-            max_consecutive_errors: 3,
-        }
-    }
-}
+/// Consecutive good frames required before stepping back one rung.
+pub const RECOVER_AFTER: usize = 5;
+/// A frame counts toward recovery only if its latency is below this
+/// fraction of the budget (a margin below 1 prevents flapping at the edge).
+pub const RECOVER_MARGIN: f64 = 0.7;
+/// Consecutive frame errors that jump the state to `SafeFallback`.
+pub const MAX_CONSECUTIVE_ERRORS: usize = 3;
 
 /// The per-run degradation controller. Purely sequential and free of
 /// wall-clock reads: feeding it the same observation sequence reproduces
@@ -214,7 +199,6 @@ impl Default for DegradationPolicy {
 pub struct Controller {
     state: HealthState,
     budget: DeadlineBudget,
-    policy: DegradationPolicy,
     good_streak: usize,
     error_streak: usize,
 }
@@ -222,11 +206,10 @@ pub struct Controller {
 impl Controller {
     /// A fresh controller starting `Healthy`.
     #[must_use]
-    pub fn new(budget: DeadlineBudget, policy: DegradationPolicy) -> Self {
+    pub fn new(budget: DeadlineBudget) -> Self {
         Self {
             state: HealthState::Healthy,
             budget,
-            policy,
             good_streak: 0,
             error_streak: 0,
         }
@@ -252,13 +235,13 @@ impl Controller {
             self.good_streak = 0;
             return self.escalate(TransitionCause::DeadlineMiss);
         }
-        if latency_ms <= self.budget.frame_budget_ms * self.policy.recover_margin {
+        if latency_ms <= self.budget.frame_budget_ms * RECOVER_MARGIN {
             self.good_streak += 1;
         } else {
             // Within budget but above the margin: hold position.
             self.good_streak = 0;
         }
-        if self.good_streak >= self.policy.recover_after && self.state != HealthState::Healthy {
+        if self.good_streak >= RECOVER_AFTER && self.state != HealthState::Healthy {
             self.good_streak = 0;
             let from = self.state;
             self.state = self.state.recovered();
@@ -276,7 +259,7 @@ impl Controller {
     pub fn observe_error(&mut self) -> Option<Transition> {
         self.good_streak = 0;
         self.error_streak += 1;
-        if self.error_streak >= self.policy.max_consecutive_errors {
+        if self.error_streak >= MAX_CONSECUTIVE_ERRORS {
             self.error_streak = 0;
             if self.state == HealthState::SafeFallback {
                 return None;
@@ -318,7 +301,7 @@ mod tests {
     use super::*;
 
     fn controller() -> Controller {
-        Controller::new(DeadlineBudget::from_ms(15.0), DegradationPolicy::default())
+        Controller::new(DeadlineBudget::from_ms(15.0))
     }
 
     #[test]

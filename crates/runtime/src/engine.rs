@@ -112,7 +112,7 @@ impl<D: Detect + Sync + Send> Runtime<D> {
     /// Wraps a detector with an explicit configuration.
     #[must_use]
     pub fn with_config(detector: D, config: RuntimeConfig) -> Self {
-        let session = Session::new(config.budget, config.policy, config.tracker.clone());
+        let session = Session::new(config.budget);
         Self {
             detector,
             config,
@@ -255,11 +255,7 @@ impl<D: Detect + Sync + Send> Engine for Runtime<D> {
     }
 
     fn reset(&mut self) {
-        self.session = Session::new(
-            self.config.budget,
-            self.config.policy,
-            self.config.tracker.clone(),
-        );
+        self.session = Session::new(self.config.budget);
     }
 
     fn take_report(&mut self, seed: u64) -> RunReport {

@@ -25,12 +25,12 @@
 //! across runs, hosts, and `RTPED_THREADS` values.
 
 use rtped_hw::integrity::{IntegrityConfig, IntegrityReport, SoftErrorDose};
-use rtped_hw::{AcceleratorConfig, HogAccelerator, ShardConfig, ShardFleet};
+use rtped_hw::{AcceleratorConfig, ClockDomain, HogAccelerator, ShardConfig, ShardFleet};
 use rtped_image::GrayImage;
 use rtped_svm::LinearSvm;
 
 use crate::config::RuntimeConfig;
-use crate::control::{DegradationPolicy, HealthState};
+use crate::control::HealthState;
 use crate::deadline::DeadlineBudget;
 use crate::engine::Engine;
 use crate::fault::{Fault, FaultPlan};
@@ -49,8 +49,6 @@ pub struct IntegrityRuntime {
     golden: LinearSvm,
     integrity: IntegrityConfig,
     budget: DeadlineBudget,
-    policy: DegradationPolicy,
-    tracker: rtped_detect::tracker::TrackerParams,
     session: Session,
     report: IntegrityReport,
     fleet: Option<ShardFleet>,
@@ -59,8 +57,7 @@ pub struct IntegrityRuntime {
 impl IntegrityRuntime {
     /// Builds the runtime around a float model: the accelerator quantizes
     /// it, and the same float model serves as the lockstep golden
-    /// channel. Budget, hysteresis, and tracker use their
-    /// (environment-free) defaults.
+    /// channel. The budget is the (environment-free) default.
     ///
     /// # Panics
     ///
@@ -69,17 +66,13 @@ impl IntegrityRuntime {
     #[must_use]
     pub fn new(model: LinearSvm, config: AcceleratorConfig, integrity: IntegrityConfig) -> Self {
         let budget = DeadlineBudget::default();
-        let policy = DegradationPolicy::default();
-        let tracker = rtped_detect::tracker::TrackerParams::default();
-        let session = Session::new(budget, policy, tracker.clone());
+        let session = Session::new(budget);
         let report = IntegrityReport::new(integrity.ecc);
         Self {
             accelerator: HogAccelerator::new(&model, config),
             golden: model,
             integrity,
             budget,
-            policy,
-            tracker,
             session,
             report,
             fleet: None,
@@ -101,22 +94,12 @@ impl IntegrityRuntime {
         self
     }
 
-    /// Replaces the degradation hysteresis policy (resets the session).
-    #[must_use]
-    pub fn with_policy(mut self, policy: DegradationPolicy) -> Self {
-        self.policy = policy;
-        self.reset();
-        self
-    }
-
-    /// Adopts budget, hysteresis, tracker, and ECC mode from a validated
+    /// Adopts the budget and ECC mode from a validated
     /// [`RuntimeConfig`] — the daemon's single config path (resets the
     /// session).
     #[must_use]
     pub fn with_runtime_config(mut self, config: &RuntimeConfig) -> Self {
         self.budget = config.budget;
-        self.policy = config.policy;
-        self.tracker = config.tracker.clone();
         self.integrity.ecc = config.ecc;
         self.reset();
         self
@@ -176,8 +159,7 @@ impl Engine for IntegrityRuntime {
             &dose,
             self.fleet.as_mut(),
         );
-        let clock = self.accelerator.config().clock;
-        let latency_ms = clock.millis(hw_report.frame_cycles()) + delay_ms;
+        let latency_ms = ClockDomain::MHZ_125.millis(hw_report.frame_cycles()) + delay_ms;
         let integrity_faults = self.report.record_frame(&frame_integrity);
         for fault in &integrity_faults {
             fault_labels.push(format!("integrity:{}", fault.label()));
@@ -228,7 +210,7 @@ impl Engine for IntegrityRuntime {
     }
 
     fn reset(&mut self) {
-        self.session = Session::new(self.budget, self.policy, self.tracker.clone());
+        self.session = Session::new(self.budget);
         self.report = IntegrityReport::new(self.integrity.ecc);
         if let Some(fleet) = self.fleet.as_mut() {
             fleet.reset();

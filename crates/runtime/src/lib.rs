@@ -59,7 +59,7 @@ pub mod report;
 mod session;
 
 pub use config::{RuntimeConfig, RuntimeConfigBuilder, DATAPATH_ENV, TEMPORAL_ENV};
-pub use control::{Controller, DegradationPolicy, HealthState, Transition, TransitionCause};
+pub use control::{Controller, HealthState, Transition, TransitionCause};
 pub use deadline::{CostModel, DeadlineBudget, DEADLINE_ENV, PRT_FRACTION};
 pub use engine::{Engine, Runtime};
 pub use fault::{Delivery, Fault, FaultPlan};

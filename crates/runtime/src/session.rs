@@ -11,7 +11,7 @@ use rtped_detect::detector::Detection;
 use rtped_detect::tracker::{Tracker, TrackerParams};
 use rtped_image::GrayImage;
 
-use crate::control::{Controller, DegradationPolicy, HealthState, Transition};
+use crate::control::{Controller, HealthState, Transition};
 use crate::deadline::DeadlineBudget;
 use crate::fault::{Delivery, Fault, FaultPlan};
 use crate::report::{FrameError, FrameOutcome, FrameRecord, RunReport, TransitionRecord};
@@ -49,10 +49,10 @@ pub(crate) struct Session {
 }
 
 impl Session {
-    pub fn new(budget: DeadlineBudget, policy: DegradationPolicy, tracker: TrackerParams) -> Self {
+    pub fn new(budget: DeadlineBudget) -> Self {
         Self {
-            controller: Controller::new(budget, policy),
-            tracker: Tracker::new(tracker),
+            controller: Controller::new(budget),
+            tracker: Tracker::new(TrackerParams::default()),
             records: Vec::new(),
             transitions: Vec::new(),
             served: 0,

@@ -11,14 +11,14 @@
 //! tenant's admission state reaches [`HealthState::SafeFallback`] the
 //! daemon sheds new requests instead of queueing them into certain
 //! deadline misses. An idle queue feeds small latencies, so the
-//! controller's own hysteresis (`recover_after` clean frames under
-//! `recover_margin`) governs when shedding stops.
+//! controller's own hysteresis (`RECOVER_AFTER` clean frames under
+//! `RECOVER_MARGIN` × budget) governs when shedding stops.
 //!
 //! Everything is modeled, not measured — no wall clock — so admission
 //! decisions are a deterministic function of request order, which is
 //! what lets journal replay reproduce them.
 
-use rtped_runtime::{Controller, DeadlineBudget, DegradationPolicy, HealthState, Transition};
+use rtped_runtime::{Controller, DeadlineBudget, HealthState, Transition};
 
 /// The fraction of the frame budget one queued request is modeled to
 /// cost. Half a budget per queue slot means a queue depth of two is
@@ -43,12 +43,11 @@ pub struct Admission {
 }
 
 impl Admission {
-    /// Builds admission control around the tenant's deadline budget and
-    /// degradation policy.
+    /// Builds admission control around the tenant's deadline budget.
     #[must_use]
-    pub fn new(budget: DeadlineBudget, policy: DegradationPolicy) -> Self {
+    pub fn new(budget: DeadlineBudget) -> Self {
         Admission {
-            controller: Controller::new(budget, policy),
+            controller: Controller::new(budget),
             shed: 0,
         }
     }
@@ -86,7 +85,7 @@ mod tests {
     use super::*;
 
     fn admission() -> Admission {
-        Admission::new(DeadlineBudget::from_ms(15.0), DegradationPolicy::default())
+        Admission::new(DeadlineBudget::from_ms(15.0))
     }
 
     #[test]
@@ -126,8 +125,8 @@ mod tests {
         while adm.state() != HealthState::SafeFallback {
             adm.assess(3);
         }
-        // An idle queue models ~zero wait; the policy's hysteresis
-        // (recover_after clean observations) climbs back to admitting.
+        // An idle queue models ~zero wait; the controller's hysteresis
+        // (RECOVER_AFTER clean observations) climbs back to admitting.
         let mut admitted = false;
         for _ in 0..64 {
             if adm.assess(0).0 == Verdict::Admit {

@@ -116,7 +116,7 @@ impl Tenant {
     pub fn new(name: &str, config: &RuntimeConfig) -> Self {
         Tenant {
             engine: build_engine(name, config),
-            admission: Admission::new(config.budget, config.policy),
+            admission: Admission::new(config.budget),
             recovered: Vec::new(),
         }
     }

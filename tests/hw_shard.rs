@@ -6,9 +6,8 @@
 
 use rtped::core::{check, check_assert, check_assert_eq, ToJson};
 use rtped::hw::integrity::{IntegrityConfig, SoftErrorDose};
-use rtped::hw::{
-    AcceleratorConfig, HogAccelerator, QuarantinePolicy, ShardConfig, ShardFleet, ShardGeometry,
-};
+use rtped::hw::shard::COOLDOWN_FRAMES;
+use rtped::hw::{AcceleratorConfig, HogAccelerator, ShardConfig, ShardFleet, ShardGeometry};
 use rtped::image::GrayImage;
 use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime};
 use rtped::svm::LinearSvm;
@@ -125,7 +124,7 @@ check! {
         );
         check_assert!(fi2.shard_quarantines.is_empty());
         check_assert!(fi2.shard_failovers >= 1);
-        for _ in 0..QuarantinePolicy::default().cooldown_frames {
+        for _ in 0..COOLDOWN_FRAMES {
             let (_, _) = acc.process_with_integrity(
                 &frame, &model, &IntegrityConfig::full(), &SoftErrorDose::none(), Some(&mut f),
             );

@@ -53,7 +53,6 @@ fn hw_and_float_detectors_agree_on_detections() {
             scales: vec![1.0],
             threshold: 0.0,
             nms_iou: None,
-            clock: ClockDomain::MHZ_125,
             ..AcceleratorConfig::default()
         },
     );

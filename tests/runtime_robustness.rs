@@ -11,8 +11,7 @@ use rtped::core::ToJson;
 use rtped::detect::detector::{Detect, DetectorConfig, FeaturePyramidDetector};
 use rtped::image::GrayImage;
 use rtped::runtime::{
-    DeadlineBudget, DegradationPolicy, Engine, FaultPlan, FrameOutcome, HealthState, Runtime,
-    RuntimeConfig,
+    DeadlineBudget, Engine, FaultPlan, FrameOutcome, HealthState, Runtime, RuntimeConfig,
 };
 use rtped::svm::LinearSvm;
 
@@ -48,7 +47,6 @@ fn runtime() -> Runtime<FeaturePyramidDetector> {
         detector,
         RuntimeConfig {
             budget: DeadlineBudget::from_ms(15.0),
-            policy: DegradationPolicy::default(),
             ..RuntimeConfig::default()
         },
     )
