@@ -173,7 +173,7 @@ RTPED_COUNTS=60,180,30,120 RTPED_NOISE=12 \
 
 echo "== experiment-level parallel == serial (quick accuracy runs byte-identical at RTPED_THREADS=1 and 3) =="
 for threads in 1 3; do
-    for bin in figure4 ablation_norm; do
+    for bin in figure4 ablation_norm ablation_quantization; do
         RTPED_THREADS=$threads RTPED_QUICK=1 ./target/release/"$bin" 2>/dev/null \
             | diff - "results_$bin.quick.txt"
     done

@@ -71,11 +71,11 @@ fn main() {
 
     // 3. Full fixed-point hardware pipeline.
     let accelerator = HogAccelerator::new(experiment.model(), AcceleratorConfig::default());
+    // Q4.12 weight quantization is what the engine applies.
+    let q = quantize_weights(experiment.model(), 12);
     let scored: Vec<(f64, bool)> = rtped_bench::parallel::map(&test, |(img, positive)| {
         let map = accelerator.extract_features(img).to_float();
         let d = map.window_descriptor(0, 0, &params);
-        // Q4.12 weight quantization is what the engine applies.
-        let q = quantize_weights(experiment.model(), 12);
         (q.decision(&d), *positive)
     });
     let (acc, auc) = evaluate(&scored);

@@ -131,18 +131,18 @@ pub struct Experiment {
     dataset: InriaProtocol,
     model: LinearSvm,
     params: HogParams,
+    svm_c: f64,
 }
 
 impl Experiment {
-    /// Generates the dataset, extracts training features, and trains the
-    /// SVM. Deterministic in `config.seed`.
+    /// Generates the dataset, extracts training features with the paper's
+    /// HOG parameters, and trains the SVM. Deterministic in `config.seed`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero counts).
     #[must_use]
     pub fn prepare(config: &ExperimentConfig) -> Self {
-        let params = HogParams::pedestrian();
         let dataset = InriaProtocol::builder()
             .train_positives(config.train_positives)
             .train_negatives(config.train_negatives)
@@ -153,7 +153,18 @@ impl Experiment {
             .seed(config.seed)
             .build()
             .expect("experiment configuration must be valid");
+        Self::train(dataset, HogParams::pedestrian(), config.svm_c)
+    }
 
+    /// Retrains on the same dataset and SVM cost with other HOG
+    /// parameters (the normalization ablation varies the block norm).
+    /// Reuses the dataset, which costs more to generate than to train on.
+    #[must_use]
+    pub fn retrained(self, params: HogParams) -> Self {
+        Self::train(self.dataset, params, self.svm_c)
+    }
+
+    fn train(dataset: InriaProtocol, params: HogParams, svm_c: f64) -> Self {
         let train: Vec<(&GrayImage, bool)> = dataset.labelled_train().collect();
         let samples: Vec<(Vec<f32>, Label)> = parallel::map(&train, |(img, positive)| {
             let descriptor = window_features(img, &params);
@@ -168,7 +179,7 @@ impl Experiment {
         let model = train_dcd(
             &samples,
             &DcdParams {
-                c: config.svm_c,
+                c: svm_c,
                 max_iterations: 120,
                 tolerance: 1e-3,
                 ..DcdParams::default()
@@ -178,6 +189,7 @@ impl Experiment {
             dataset,
             model,
             params,
+            svm_c,
         }
     }
 

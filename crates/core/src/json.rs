@@ -606,9 +606,9 @@ pub fn required_field<'j>(json: &'j Json, key: &str) -> Result<&'j Json, Error> 
 }
 
 /// Validates the `{"format":N,"kind":"..."}` header every versioned rtped
-/// document carries — model files, run reports, and wire messages all
-/// share this one evolution policy. `noun` names the document family in
-/// the version-mismatch message (`"model"`, `"report"`, `"message"`).
+/// document carries; `rtped_svm::io` checks model files with it. `noun`
+/// names the document family in the version-mismatch message
+/// (`"model"`).
 ///
 /// # Errors
 ///

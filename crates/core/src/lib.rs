@@ -3,9 +3,8 @@
 //! Real-time HOG+SVM deployments target self-contained embedded platforms
 //! (the paper's ZC7020 SoC has no package manager), and the workspace
 //! mirrors that posture: `cargo build --offline` must succeed on a machine
-//! with an empty registry. This crate supplies the four capabilities that
-//! previously came from third-party crates, each redesigned as one small,
-//! documented API:
+//! with an empty registry. This crate supplies what would otherwise come
+//! from third-party crates, each as one small, documented API:
 //!
 //! - [`rng`]: seeded deterministic pseudo-randomness (xoshiro256++ seeded
 //!   via SplitMix64) behind the [`Rng`] trait — replaces `rand`.
@@ -21,8 +20,6 @@
 //!   `map`/`try_map` and in-place `for_each_band`, both on one safe
 //!   work-claiming loop) with an `RTPED_THREADS` override — replaces
 //!   `rayon`.
-//! - [`retry`]: bounded retry-with-backoff ([`retry::RetryPolicy`]) for
-//!   transient IO failures.
 //! - [`env`](mod@env): typed, warn-once environment-variable parsing shared by
 //!   every `RTPED_*` knob (a malformed value is rejected on stderr, never
 //!   silently ignored).
@@ -56,7 +53,6 @@ pub mod env;
 pub mod error;
 pub mod json;
 pub mod par;
-pub mod retry;
 pub mod rng;
 pub mod timer;
 pub mod wire;

@@ -4,8 +4,9 @@
 //! this phase proves the *daemon* holds up under real ones. A seeded
 //! injector drives hundreds of connections, most of them hostile —
 //! garbage bytes, oversized and truncated frames, bit-flipped payloads,
-//! slow-trickled writes, clients that vanish mid-stream — through a
-//! retrying client built on [`rtped_core::retry`]. The invariants:
+//! slow-trickled writes, clients that vanish mid-stream — next to clean
+//! requests from a client that tries each request up to three times,
+//! with no pause between tries. The invariants:
 //!
 //! - Every failure the client observes is **typed** (a protocol
 //!   [`Response`]) or a clean close — never a hang (client sockets carry
@@ -36,7 +37,6 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use rtped_core::json::{obj, Json};
-use rtped_core::retry::RetryPolicy;
 use rtped_core::rng::SeedRng;
 use rtped_core::{par, wire, Error, FromJson, Rng, ToJson};
 use rtped_runtime::RuntimeConfig;
@@ -226,6 +226,12 @@ fn detect_request(tenant: &str, job: &str, seed: u64) -> Request {
     }
 }
 
+/// Runs `op` until it succeeds, at most three times, with no pause
+/// between tries. Once all three fail, returns the last error.
+fn try_thrice<T, E>(mut op: impl FnMut() -> Result<T, E>) -> Result<T, E> {
+    op().or_else(|_| op()).or_else(|_| op())
+}
+
 fn open(addr: SocketAddr) -> Result<TcpStream, Error> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
@@ -294,19 +300,14 @@ fn drive_connection(
     let fault = WireFault::all()[rng.gen_range(0..WireFault::all().len())];
     match fault {
         WireFault::Clean => {
-            // The retrying client: transient transport errors retry with
-            // seeded jitter accounted by a no-op sleeper (deterministic
-            // campaigns never sleep wall-clock on backoff).
-            let policy = RetryPolicy::immediate(3).with_jitter(seed ^ index as u64);
+            // The retrying client: a transient transport error is retried
+            // at once (deterministic campaigns never sleep on backoff).
             let request = detect_request(&tenant, &job, index as u64);
-            let outcome = policy.run_with_sleeper(
-                |_| {},
-                |_| {
-                    let stream = open(addr)?;
-                    wire::write_frame(&stream, request.to_json().to_string().as_bytes())?;
-                    read_response(&stream)
-                },
-            );
+            let outcome = try_thrice(|| {
+                let stream = open(addr)?;
+                wire::write_frame(&stream, request.to_json().to_string().as_bytes())?;
+                read_response(&stream)
+            });
             match outcome {
                 // Shed is a valid typed refusal under load, not a fault.
                 Ok(Response::FrameResult { .. }) | Ok(Response::Shed { .. }) => {
@@ -497,16 +498,11 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, Error> {
             }
         });
         // Clean drain through the retrying client.
-        let shutdown = RetryPolicy::immediate(3)
-            .with_jitter(config.seed)
-            .run_with_sleeper(
-                |_| {},
-                |_| {
-                    let stream = open(addr)?;
-                    wire::write_frame(&stream, Request::Shutdown.to_json().to_string().as_bytes())?;
-                    read_response(&stream)
-                },
-            );
+        let shutdown = try_thrice(|| {
+            let stream = open(addr)?;
+            wire::write_frame(&stream, Request::Shutdown.to_json().to_string().as_bytes())?;
+            read_response(&stream)
+        });
         if !matches!(shutdown, Ok(Response::ShutdownAck { .. })) {
             observed
                 .worker_errors
@@ -741,6 +737,34 @@ mod tests {
                 fault.label()
             );
         }
+    }
+
+    #[test]
+    fn try_thrice_stops_at_the_first_ok_and_gives_up_after_three_errors() {
+        let mut calls = 0;
+        let first: Result<u32, u32> = try_thrice(|| {
+            calls += 1;
+            Ok(7)
+        });
+        assert_eq!((first, calls), (Ok(7), 1));
+
+        let mut calls = 0;
+        let second: Result<u32, u32> = try_thrice(|| {
+            calls += 1;
+            if calls == 1 {
+                Err(calls)
+            } else {
+                Ok(calls * 10)
+            }
+        });
+        assert_eq!((second, calls), (Ok(20), 2));
+
+        let mut calls = 0;
+        let exhausted: Result<u32, u32> = try_thrice(|| {
+            calls += 1;
+            Err(calls)
+        });
+        assert_eq!((exhausted, calls), (Err(3), 3));
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! 2. **Chaos** ([`chaos`]): a seeded wire-level fault injector driven
 //!    against a *live* `rtped-serve` daemon — garbage bytes, oversized
 //!    and truncated frames, bit-flipped payloads, slow-trickled writes,
-//!    mid-stream client crashes — through a retrying client built on
-//!    [`rtped_core::retry`]. Every injected failure must resolve to a
-//!    typed response or a journal-recovered replay; the phase then
-//!    restarts the daemon from its journal and proves the recovered
-//!    engine state bit-identical against an offline replica.
+//!    mid-stream client crashes — next to clean requests from a client
+//!    that tries each one up to three times. Every injected failure must
+//!    resolve to a typed response or a journal-recovered replay; the
+//!    phase then restarts the daemon from its journal and proves the
+//!    recovered engine state bit-identical against an offline replica.
 //!
 //! The `rtped-fleet` binary runs both phases and writes the committed
 //! `BENCH_fleet.json` artifact that ci.sh gates on.

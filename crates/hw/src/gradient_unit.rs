@@ -76,25 +76,6 @@ impl GradientUnit {
         let (fx, fy) = self.gradient(img, x, y);
         vote_from_gradient(fx, fy)
     }
-
-    /// Emits votes for a whole frame in raster (stream) order.
-    #[must_use]
-    pub fn stream_frame(&self, img: &GrayImage) -> Vec<GradientVote> {
-        let (w, h) = img.dimensions();
-        let mut out = Vec::with_capacity(w * h);
-        for y in 0..h {
-            for x in 0..w {
-                out.push(self.vote_at(img, x, y));
-            }
-        }
-        out
-    }
-
-    /// Cycles to process a frame: one pixel per cycle.
-    #[must_use]
-    pub fn cycles(&self, width: usize, height: usize) -> u64 {
-        (width as u64) * (height as u64)
-    }
 }
 
 /// Computes the vote for an integer gradient.
@@ -234,15 +215,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn stream_covers_every_pixel() {
-        let img = GrayImage::from_fn(16, 8, |x, y| ((x * 31 + y * 7) % 256) as u8);
-        let unit = GradientUnit::new();
-        let votes = unit.stream_frame(&img);
-        assert_eq!(votes.len(), 16 * 8);
-        assert_eq!(unit.cycles(16, 8), 128);
     }
 
     #[test]

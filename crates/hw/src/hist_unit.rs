@@ -11,6 +11,9 @@ use rtped_image::GrayImage;
 
 use crate::gradient_unit::{GradientUnit, BINS};
 
+/// Cell side in pixels (8 in the design).
+pub(crate) const CELL_SIZE: usize = 8;
+
 /// A full image's integer cell histograms (cell-major, 9 bins per cell).
 ///
 /// Values are in magnitude·Q0.8 units: one pixel of magnitude `m`
@@ -44,16 +47,13 @@ impl HwCellGrid {
 
 /// The streaming histogram unit.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HistogramUnit {
-    /// Cell side in pixels (8 in the design).
-    pub cell_size: usize,
-}
+pub struct HistogramUnit;
 
 impl HistogramUnit {
     /// Creates a unit with the canonical 8-pixel cells.
     #[must_use]
     pub fn new() -> Self {
-        Self { cell_size: 8 }
+        Self
     }
 
     /// Processes a whole frame: streams gradient votes in raster order and
@@ -68,16 +68,15 @@ impl HistogramUnit {
     /// Panics if the image holds less than one cell.
     #[must_use]
     pub fn process_frame(&self, img: &GrayImage) -> HwCellGrid {
-        let cs = self.cell_size;
-        let cells_x = img.width() / cs;
-        let cells_y = img.height() / cs;
+        let cells_x = img.width() / CELL_SIZE;
+        let cells_y = img.height() / CELL_SIZE;
         assert!(cells_x > 0 && cells_y > 0, "image smaller than one cell");
         let gradient = GradientUnit::new();
         let mut data = vec![0u32; cells_x * cells_y * BINS];
-        for y in 0..cells_y * cs {
-            let cy = y / cs;
-            for x in 0..cells_x * cs {
-                let cx = x / cs;
+        for y in 0..cells_y * CELL_SIZE {
+            let cy = y / CELL_SIZE;
+            for x in 0..cells_x * CELL_SIZE {
+                let cx = x / CELL_SIZE;
                 let vote = gradient.vote_at(img, x, y);
                 if vote.magnitude == 0 {
                     continue;
@@ -93,14 +92,6 @@ impl HistogramUnit {
             cells_y,
             data,
         }
-    }
-
-    /// Cycles to process a frame: the unit is pipelined behind the
-    /// gradient stage at one pixel per cycle, so it adds only a constant
-    /// pipeline depth, not throughput cycles.
-    #[must_use]
-    pub fn cycles(&self, width: usize, height: usize) -> u64 {
-        (width as u64) * (height as u64)
     }
 }
 
@@ -189,12 +180,6 @@ mod tests {
             "relative L1 error {}",
             err_energy / total_energy
         );
-    }
-
-    #[test]
-    fn throughput_is_one_pixel_per_cycle() {
-        let unit = HistogramUnit::new();
-        assert_eq!(unit.cycles(1920, 1080), 2_073_600);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 
 use std::fmt;
 
-use rtped_core::json::{check_schema_header, obj, required_field};
-use rtped_core::{Error, FromJson, Json, ToJson};
+use rtped_core::json::obj;
+use rtped_core::{Json, ToJson};
 
 use crate::ecc::{EccMode, EccStats};
 use crate::lockstep::LockstepReport;
@@ -34,9 +34,8 @@ pub const ECC_ENV: &str = "RTPED_ECC";
 
 /// Schema version stamped into serialized [`IntegrityReport`]s (the
 /// `"format"` field, paired with `"kind": "integrity_report"`). Bump on
-/// any incompatible change — readers reject mismatches with a typed
-/// error instead of misdecoding, the same evolution policy
-/// `rtped_svm::io` uses for model files.
+/// any incompatible change, so readers of saved reports can tell the
+/// layouts apart; this build writes the report and never reads it back.
 ///
 /// Version history: 1 = PR 4 single-instance counters; 2 = adds the
 /// `"shards"` block (quarantines / failovers / exhausted frames) for the
@@ -571,57 +570,6 @@ impl ToJson for IntegrityReport {
             ("escalations", self.escalations.into()),
             ("silent_escapes", self.silent_escapes().into()),
         ])
-    }
-}
-
-fn decode_banks(json: &Json, key: &str) -> Result<[u64; BANKS], Error> {
-    let values = Vec::<u64>::from_json(required_field(json, key)?)?;
-    <[u64; BANKS]>::try_from(values).map_err(|v: Vec<u64>| {
-        Error::format(format!(
-            "field \"{key}\" must hold {BANKS} bank counters, got {}",
-            v.len()
-        ))
-    })
-}
-
-impl FromJson for IntegrityReport {
-    fn from_json(json: &Json) -> Result<Self, Error> {
-        check_schema_header(json, "integrity_report", "report", REPORT_FORMAT_VERSION)?;
-        let ecc_label = String::from_json(required_field(json, "ecc")?)?;
-        let ecc_mode = ecc_label.parse::<EccMode>().map_err(Error::format)?;
-        let injected = required_field(json, "injected")?;
-        let lockstep = required_field(json, "lockstep")?;
-        let shards = required_field(json, "shards")?;
-        Ok(IntegrityReport {
-            ecc_mode,
-            frames_checked: u64::from_json(required_field(json, "frames_checked")?)?,
-            frames_flagged: u64::from_json(required_field(json, "frames_flagged")?)?,
-            frames_with_uncorrectable: u64::from_json(required_field(
-                json,
-                "frames_with_uncorrectable",
-            )?)?,
-            corrected: decode_banks(json, "corrected_per_bank")?,
-            uncorrectable: decode_banks(json, "uncorrectable_per_bank")?,
-            scrubbed_words: u64::from_json(required_field(json, "scrubbed_words")?)?,
-            scrub_corrected: u64::from_json(required_field(json, "scrub_corrected")?)?,
-            injected_mem_flips: u64::from_json(required_field(injected, "mem_flips")?)?,
-            injected_mem_double_flips: u64::from_json(required_field(
-                injected,
-                "mem_double_flips",
-            )?)?,
-            injected_acc_flips: u64::from_json(required_field(injected, "acc_flips")?)?,
-            macbar_mismatches: u64::from_json(required_field(json, "macbar_mismatches")?)?,
-            watchdog_overruns: u64::from_json(required_field(json, "watchdog_overruns")?)?,
-            watchdog_stalls: u64::from_json(required_field(json, "watchdog_stalls")?)?,
-            lockstep_strips: u64::from_json(required_field(lockstep, "strips")?)?,
-            lockstep_divergences: u64::from_json(required_field(lockstep, "divergences")?)?,
-            lockstep_max_divergence: f64::from_json(required_field(lockstep, "max_divergence")?)?,
-            shard_quarantines: u64::from_json(required_field(shards, "quarantines")?)?,
-            shard_failovers: u64::from_json(required_field(shards, "failovers")?)?,
-            fleet_exhausted_frames: u64::from_json(required_field(shards, "exhausted_frames")?)?,
-            escalations: u64::from_json(required_field(json, "escalations")?)?,
-            unflagged_uncorrectable: u64::from_json(required_field(json, "silent_escapes")?)?,
-        })
     }
 }
 

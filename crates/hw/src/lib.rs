@@ -23,7 +23,7 @@
 //!
 //! Modules:
 //!
-//! - [`fixed`]: Q-format fixed-point scalar and the integer square root.
+//! - [`fixed`]: the integer square root the magnitude and norm units use.
 //! - [`gradient_unit`], [`hist_unit`], [`norm_unit`]: the HOG extractor
 //!   stages of [Hemmati et al., DSD'14] reused by the paper.
 //! - [`nhog_mem`]: the 16-bank normalized-HOG memory with the 18-row ring

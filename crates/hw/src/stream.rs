@@ -18,8 +18,8 @@
 //! - frames arriving faster than the initiation interval are dropped
 //!   (a real camera cannot be back-pressured).
 
-use rtped_core::json::{obj, required_field};
-use rtped_core::{Error, FromJson, Json, ToJson};
+use rtped_core::json::obj;
+use rtped_core::{Json, ToJson};
 use rtped_detect::detector::Detection;
 use rtped_image::GrayImage;
 
@@ -118,22 +118,6 @@ impl ToJson for StreamStats {
             ("max_latency_cycles", self.max_latency_cycles.into()),
             ("total_detections", self.total_detections.into()),
         ])
-    }
-}
-
-impl FromJson for StreamStats {
-    fn from_json(json: &Json) -> Result<Self, Error> {
-        Ok(StreamStats {
-            frames_offered: usize::from_json(required_field(json, "frames_offered")?)?,
-            frames_processed: usize::from_json(required_field(json, "frames_processed")?)?,
-            frames_dropped: usize::from_json(required_field(json, "frames_dropped")?)?,
-            initiation_interval_cycles: u64::from_json(required_field(
-                json,
-                "initiation_interval_cycles",
-            )?)?,
-            max_latency_cycles: u64::from_json(required_field(json, "max_latency_cycles")?)?,
-            total_detections: usize::from_json(required_field(json, "total_detections")?)?,
-        })
     }
 }
 

@@ -20,6 +20,7 @@
 use rtped_image::GrayImage;
 
 use crate::gradient_unit::{vote_from_gradient, BINS};
+use crate::hist_unit::CELL_SIZE;
 
 /// One emitted cell row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +42,6 @@ pub struct CellRowEvent {
 #[derive(Debug, Clone)]
 pub struct StreamingExtractor {
     width: usize,
-    cell_size: usize,
     cells_x: usize,
     /// Line `y-2` of the stream (top neighbours).
     line_prev2: Vec<u8>,
@@ -64,11 +64,10 @@ impl StreamingExtractor {
     /// Panics if `width < 8`.
     #[must_use]
     pub fn new(width: usize) -> Self {
-        assert!(width >= 8, "stream must be at least one cell wide");
-        let cells_x = width / 8;
+        assert!(width >= CELL_SIZE, "stream must be at least one cell wide");
+        let cells_x = width / CELL_SIZE;
         Self {
             width,
-            cell_size: 8,
             cells_x,
             line_prev2: vec![0; width],
             line_prev1: vec![0; width],
@@ -100,8 +99,8 @@ impl StreamingExtractor {
                 // The border pixel's clamped right neighbour is itself, so
                 // it is computable on the same tick.
                 self.vote(self.width - 1, vy, false);
-                if (vy + 1).is_multiple_of(self.cell_size) {
-                    event = Some(self.finish_row((vy + 1) / self.cell_size - 1));
+                if (vy + 1).is_multiple_of(CELL_SIZE) {
+                    event = Some(self.finish_row((vy + 1) / CELL_SIZE - 1));
                 }
             }
         }
@@ -135,8 +134,8 @@ impl StreamingExtractor {
             self.vote(vx, vy, true);
             self.tick += 1;
         }
-        if (vy + 1).is_multiple_of(self.cell_size) {
-            events.push(self.finish_row((vy + 1) / self.cell_size - 1));
+        if (vy + 1).is_multiple_of(CELL_SIZE) {
+            events.push(self.finish_row((vy + 1) / CELL_SIZE - 1));
         }
         events
     }
@@ -164,7 +163,7 @@ impl StreamingExtractor {
         if vote.magnitude == 0 {
             return;
         }
-        let cx = vx / self.cell_size;
+        let cx = vx / CELL_SIZE;
         if cx >= self.cells_x {
             return; // partial rightmost cell is dropped, as in the design
         }

@@ -39,8 +39,9 @@ pub const SCORE_FRAC: u32 = 15 + WEIGHT_FRAC;
 
 /// The SVM model quantized for the hardware model memory.
 ///
-/// Weights are Q4.12 (saturated to ±16), the bias is pre-scaled to the
-/// accumulator format Q4.27 so it adds directly onto the MACBAR output.
+/// Weights are Q4.12 (saturated to the i16 range, ±8), the bias is
+/// pre-scaled to the accumulator format Q4.27 so it adds directly onto
+/// the MACBAR output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedModel {
     weights: Vec<i32>,

@@ -29,7 +29,6 @@
 //! assert_eq!(up.height(), 192);
 //! ```
 
-pub mod blur;
 pub mod corrupt;
 pub mod draw;
 pub mod gray;

@@ -100,7 +100,7 @@ impl HealthState {
         }
     }
 
-    /// Inverse of [`HealthState::label`], for report decoding.
+    /// Inverse of [`HealthState::label`], for frame-record decoding.
     ///
     /// # Errors
     ///
@@ -151,24 +151,6 @@ impl TransitionCause {
             TransitionCause::ErrorBurst => "error_burst",
             TransitionCause::IntegrityFault => "integrity_fault",
             TransitionCause::Recovered => "recovered",
-        }
-    }
-
-    /// Inverse of [`TransitionCause::label`], for report decoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`rtped_core::Error::Format`] on an unknown label.
-    pub fn parse_label(label: &str) -> Result<Self, rtped_core::Error> {
-        match label {
-            "deadline_miss" => Ok(TransitionCause::DeadlineMiss),
-            "frame_error" => Ok(TransitionCause::FrameError),
-            "error_burst" => Ok(TransitionCause::ErrorBurst),
-            "integrity_fault" => Ok(TransitionCause::IntegrityFault),
-            "recovered" => Ok(TransitionCause::Recovered),
-            other => Err(rtped_core::Error::format(format!(
-                "unknown transition cause \"{other}\""
-            ))),
         }
     }
 }

@@ -133,12 +133,6 @@ check! {
         }
     }
 
-    fn hw_fixed_point_roundtrip(v in -100.0f32..100.0) {
-        use rtped::hw::fixed::Fx;
-        let q = Fx::<12>::from_f32(v);
-        check_assert!((q.to_f32() - v).abs() <= 1.0 / 4096.0 + v.abs() * 1e-6);
-    }
-
     fn nhog_ring_keeps_exactly_the_newest_rows(cells_x in 1usize..=4, extra in 0usize..=12) {
         use rtped::hw::nhog_mem::{NhogMem, RING_ROWS};
         use rtped::hw::norm_unit::HwFeatureMap;

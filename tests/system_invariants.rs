@@ -1,5 +1,5 @@
 //! Second property-based suite: invariants of the system-level modules
-//! (tracker, PR evaluation, bank layouts, streaming extractor, blur).
+//! (tracker, PR evaluation, bank layouts, streaming extractor).
 
 use rtped::core::check::{vec_of, Gen};
 use rtped::core::{check, check_assert, check_assert_eq, check_assume};
@@ -9,7 +9,6 @@ use rtped::detect::detector::Detection;
 use rtped::detect::evaluate::{average_precision, match_detections, pr_curve};
 use rtped::detect::tracker::{Tracker, TrackerParams};
 use rtped::hw::nhog_mem::{analyze_column_pair_access, BankLayout, NhogMem};
-use rtped::image::blur::gaussian_blur;
 use rtped::image::GrayImage;
 
 fn arb_detections(max: usize) -> impl Gen<Value = Vec<Detection>> {
@@ -115,18 +114,6 @@ check! {
 
     fn bank_mapping_stays_in_range(cx in 0usize..1000, cy in 0usize..1000, role in 0usize..4) {
         check_assert!(NhogMem::bank_of(cx, cy, role) < 16);
-    }
-
-    fn blur_output_within_input_extremes(seed in 0u32..=u32::MAX, sigma in 0.3f64..3.0) {
-        let img = GrayImage::from_fn(24, 24, |x, y| {
-            ((x * 7 + y * 13 + seed as usize % 251) % 256) as u8
-        });
-        let lo = *img.as_raw().iter().min().unwrap();
-        let hi = *img.as_raw().iter().max().unwrap();
-        let out = gaussian_blur(&img, sigma);
-        for (_, _, v) in out.pixels() {
-            check_assert!(v >= lo && v <= hi);
-        }
     }
 
     fn stream_extractor_equals_frame_model(seed in 0u32..=u32::MAX) {
