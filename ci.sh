@@ -81,20 +81,23 @@ fi
 echo "== bench_detect --quick (smoke: determinism gates + 15% regression gate vs BENCH_thresholds.json) =="
 cargo run --release --offline -p rtped-bench --bin bench_detect -- --quick --gate BENCH_thresholds.json
 
-echo "== video_stream fault-injection smoke (seed 2017: zero crashes, non-empty RunReport) =="
+echo "== video_stream fault-injection smoke (seed 2017: zero crashes, non-empty RunReport, stdout matches the committed run) =="
 smoke=$(RTPED_FAULT_SEED=2017 cargo run --release --offline --example video_stream)
 grep -q '"seed":2017' <<<"$smoke"
 grep -q 'video_stream: ok (seed 2017, zero crashes)' <<<"$smoke"
+diff - results_video_stream.txt <<<"$smoke"
 
 echo "== soft_error_smoke (fixed seed: ECC corrects, zero silent escapes, integrity block present) =="
 ecc_smoke=$(cargo run --release --offline --example soft_error_smoke)
 grep -q '"integrity":{' <<<"$ecc_smoke"
 grep -q 'soft_error_smoke: ok' <<<"$ecc_smoke"
+diff - results_soft_error_smoke.txt <<<"$ecc_smoke"
 
 echo "== shard_failover_smoke (seed 2017 storm on a 4-shard fleet: quarantine, bit-identical failover, zero escapes) =="
 shard_smoke=$(cargo run --release --offline --example shard_failover_smoke)
 grep -q '"shards":{' <<<"$shard_smoke"
 grep -q 'shard_failover_smoke: ok' <<<"$shard_smoke"
+diff - results_shard_failover_smoke.txt <<<"$shard_smoke"
 
 echo "== rtped-serve smoke (daemon on ephemeral port, load generator, clean shutdown) =="
 cargo build --release --offline -p rtped-serve -p rtped-bench --bin rtped-serve --bin bench_serve
@@ -122,7 +125,7 @@ grep -q '"bench": "serve"' BENCH_serve.quick.json
 grep -q '"shed_rate"' BENCH_serve.quick.json
 rm -f "$serve_log" "$serve_journal"
 
-echo "== rtped-fleet --quick (campaign + chaos smoke, byte-identical across RTPED_THREADS) =="
+echo "== rtped-fleet --quick (campaign + chaos smoke, byte-identical across RTPED_THREADS and to the committed artifact) =="
 cargo build --release --offline -p rtped-fleet
 fleet_a=$(mktemp)
 fleet_b=$(mktemp)
@@ -132,6 +135,7 @@ grep -q 'rtped-fleet: campaign ok' "$fleet_log"
 grep -q '0 integrity escapes' "$fleet_log"
 grep -Eq '[1-9][0-9]* shard quarantines' "$fleet_log"
 grep -q 'rtped-fleet: chaos ok (0 divergences' "$fleet_log"
+diff "$fleet_a" results_fleet.quick.json
 RTPED_THREADS=4 ./target/release/rtped-fleet --quick --out "$fleet_b" >/dev/null
 if ! diff -q "$fleet_a" "$fleet_b" >/dev/null; then
     echo "rtped-fleet: quick artifacts differ across RTPED_THREADS=1 vs 4" >&2

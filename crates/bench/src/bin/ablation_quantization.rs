@@ -7,13 +7,15 @@
 //! 1. the float reference pipeline,
 //! 2. float features × weight vectors quantized to Qx.f for f ∈ {4..12},
 //! 3. the full fixed-point hardware pipeline (Q0.15 features via the
-//!    integer extractor, Q4.12 weights, 48-bit accumulation).
+//!    integer extractor, i16 Q4.12 weights, a Q4.27 bias and 48-bit
+//!    MACBAR accumulation), scored by the accelerator model itself.
 //!
 //! Run with `RTPED_QUICK=1` for a fast smoke version.
 
 use rtped_bench::{window_features, Experiment, ExperimentConfig};
 use rtped_eval::report::{float, Table};
 use rtped_eval::RocCurve;
+use rtped_hw::svm_engine::QuantizedModel;
 use rtped_hw::{AcceleratorConfig, HogAccelerator};
 use rtped_svm::LinearSvm;
 
@@ -71,12 +73,13 @@ fn main() {
 
     // 3. Full fixed-point hardware pipeline.
     let accelerator = HogAccelerator::new(experiment.model(), AcceleratorConfig::default());
-    // Q4.12 weight quantization is what the engine applies.
-    let q = quantize_weights(experiment.model(), 12);
     let scored: Vec<(f64, bool)> = rtped_bench::parallel::map(&test, |(img, positive)| {
-        let map = accelerator.extract_features(img).to_float();
-        let d = map.window_descriptor(0, 0, &params);
-        (q.decision(&d), *positive)
+        let scores = accelerator.window_scores(&accelerator.extract_features(img));
+        let window = scores
+            .iter()
+            .find(|s| (s.cx, s.cy) == (0, 0))
+            .expect("test image holds a whole detection window");
+        (QuantizedModel::score_to_f64(window.raw), *positive)
     });
     let (acc, auc) = evaluate(&scored);
     table.row_owned(vec![

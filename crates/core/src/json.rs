@@ -605,22 +605,17 @@ pub fn required_field<'j>(json: &'j Json, key: &str) -> Result<&'j Json, Error> 
         .ok_or_else(|| Error::format(format!("missing required field \"{key}\"")))
 }
 
-/// Validates the `{"format":N,"kind":"..."}` header every versioned rtped
-/// document carries; `rtped_svm::io` checks model files with it. `noun`
-/// names the document family in the version-mismatch message
-/// (`"model"`).
+/// Reads the `{"format":N,"kind":"..."}` header every versioned rtped
+/// document carries: checks the format version and returns the kind.
+/// `noun` names the document family in the version-mismatch message
+/// (`"model"`, `"request"`).
 ///
 /// # Errors
 ///
 /// Returns [`Error::Format`] when the header is missing, the `format`
 /// field is not a non-negative integer, the version differs from
-/// `version`, or the `kind` differs from `expected_kind`.
-pub fn check_schema_header(
-    json: &Json,
-    expected_kind: &str,
-    noun: &str,
-    version: u64,
-) -> Result<(), Error> {
+/// `version`, or the `kind` is not a string.
+pub fn schema_kind<'j>(json: &'j Json, noun: &str, version: u64) -> Result<&'j str, Error> {
     let format = required_field(json, "format")?
         .as_u64()
         .ok_or_else(|| Error::format("field \"format\" must be a non-negative integer"))?;
@@ -629,9 +624,25 @@ pub fn check_schema_header(
             "unsupported {noun} format {format} (this build reads format {version})"
         )));
     }
-    let kind = required_field(json, "kind")?
+    required_field(json, "kind")?
         .as_str()
-        .ok_or_else(|| Error::format("field \"kind\" must be a string"))?;
+        .ok_or_else(|| Error::format("field \"kind\" must be a string"))
+}
+
+/// Validates a versioned document's header ([`schema_kind`]) and its
+/// kind; `rtped_svm::io` checks model files with it.
+///
+/// # Errors
+///
+/// Returns [`Error::Format`] on any [`schema_kind`] error, or when the
+/// `kind` differs from `expected_kind`.
+pub fn check_schema_header(
+    json: &Json,
+    expected_kind: &str,
+    noun: &str,
+    version: u64,
+) -> Result<(), Error> {
+    let kind = schema_kind(json, noun, version)?;
     if kind != expected_kind {
         return Err(Error::format(format!(
             "expected kind \"{expected_kind}\", found \"{kind}\""
@@ -991,6 +1002,13 @@ mod tests {
     fn schema_header_accepts_matching_format_and_kind() {
         let v = obj([("format", 1u64.into()), ("kind", "run_report".into())]);
         assert!(check_schema_header(&v, "run_report", "report", 1).is_ok());
+        assert_eq!(schema_kind(&v, "report", 1).unwrap(), "run_report");
+        let numeric_kind = obj([("format", 1u64.into()), ("kind", 7u64.into())]);
+        let err = schema_kind(&numeric_kind, "report", 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "format error: field \"kind\" must be a string"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The hardware-integrity surface: configuration, soft-error doses, typed
-//! faults, and the aggregated [`IntegrityReport`].
+//! The hardware-integrity surface: soft-error doses, typed faults, and
+//! the aggregated [`IntegrityReport`].
 //!
-//! The integrity layer has four independent mechanisms, each guarding a
-//! different part of the datapath:
+//! The integrity layer has four mechanisms, each guarding a different
+//! part of the datapath:
 //!
 //! | Mechanism        | Guards                       | Module            |
 //! |------------------|------------------------------|-------------------|
@@ -11,12 +11,13 @@
 //! | lockstep channel | whole fixed-point datapath   | [`crate::lockstep`] |
 //! | cycle watchdog   | the 288/36-cycle schedule    | [`crate::pipeline`] |
 //!
-//! This module ties them together: [`IntegrityConfig`] selects which run,
-//! [`SoftErrorDose`] describes a deterministic injection for one frame,
-//! [`FrameIntegrity`] collects what one frame observed, and
-//! [`IntegrityReport`] aggregates a whole run into canonical JSON for the
-//! runtime's `RunReport`. Every event that must escalate surfaces as a
-//! typed [`IntegrityFault`].
+//! `HogAccelerator::process_with_integrity` arms all four on every frame;
+//! its one setting is the [`EccMode`] (SECDED or unprotected memory).
+//! This module ties the mechanisms together: [`SoftErrorDose`] describes
+//! a deterministic injection for one frame, [`FrameIntegrity`] collects
+//! what one frame observed, and [`IntegrityReport`] aggregates a whole
+//! run into canonical JSON for the runtime's `RunReport`. Every event
+//! that must escalate surfaces as a typed [`IntegrityFault`].
 
 use std::fmt;
 
@@ -41,55 +42,6 @@ pub const ECC_ENV: &str = "RTPED_ECC";
 /// `"shards"` block (quarantines / failovers / exhausted frames) for the
 /// sharded fleet model.
 pub const REPORT_FORMAT_VERSION: u64 = 2;
-
-/// Which integrity mechanisms are armed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntegrityConfig {
-    /// ECC mode for every `NHOGMem` instance.
-    pub ecc: EccMode,
-    /// Duplicate-and-compare MACBAR accumulation.
-    pub checked_macbar: bool,
-    /// Lockstep cross-check tolerance (per-window score error); `None`
-    /// disables the second channel.
-    pub lockstep_tolerance: Option<f64>,
-    /// Cycle-budget watchdog on the native-scale schedule.
-    pub watchdog: bool,
-}
-
-impl IntegrityConfig {
-    /// Default lockstep tolerance: above the fixed-point quantization band
-    /// (`verify::compare_pipelines` signs off at 0.05 score MAE), below
-    /// any single-feature corruption.
-    pub const DEFAULT_LOCKSTEP_TOLERANCE: f64 = 0.25;
-
-    /// Everything armed — the deployment posture.
-    #[must_use]
-    pub fn full() -> Self {
-        Self {
-            ecc: EccMode::Secded,
-            checked_macbar: true,
-            lockstep_tolerance: Some(Self::DEFAULT_LOCKSTEP_TOLERANCE),
-            watchdog: true,
-        }
-    }
-
-    /// Everything disarmed — bit-identical to the unprotected pipeline.
-    #[must_use]
-    pub fn off() -> Self {
-        Self {
-            ecc: EccMode::Off,
-            checked_macbar: false,
-            lockstep_tolerance: None,
-            watchdog: false,
-        }
-    }
-}
-
-impl Default for IntegrityConfig {
-    fn default() -> Self {
-        Self::full()
-    }
-}
 
 /// A deterministic soft-error injection for one frame. All placement
 /// randomness derives from `seed`, so equal doses strike equal bits.
@@ -400,7 +352,9 @@ pub struct IntegrityReport {
     pub shard_failovers: u64,
     /// Frames dropped because every shard was quarantined.
     pub fleet_exhausted_frames: u64,
-    /// Degradation-controller escalations attributed to integrity faults.
+    /// Degradation-controller escalations attributed to integrity faults
+    /// (the run's `integrity_fault` transitions; the runtime fills it in
+    /// when it drains the run log).
     pub escalations: u64,
     /// Frames where an uncorrectable detection did NOT surface as a fault
     /// — the silent-escape counter the acceptance criteria pin at zero.
@@ -487,11 +441,6 @@ impl IntegrityReport {
         faults
     }
 
-    /// Notes one controller escalation attributed to integrity faults.
-    pub fn record_escalation(&mut self) {
-        self.escalations += 1;
-    }
-
     /// Total single-bit corrections across banks.
     #[must_use]
     pub fn corrected_total(&self) -> u64 {
@@ -576,20 +525,6 @@ impl ToJson for IntegrityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn full_and_off_configs_differ_in_every_mechanism() {
-        let full = IntegrityConfig::full();
-        assert_eq!(full.ecc, EccMode::Secded);
-        assert!(full.checked_macbar);
-        assert!(full.lockstep_tolerance.is_some());
-        assert!(full.watchdog);
-        let off = IntegrityConfig::off();
-        assert_eq!(off.ecc, EccMode::Off);
-        assert!(!off.checked_macbar);
-        assert!(off.lockstep_tolerance.is_none());
-        assert!(!off.watchdog);
-    }
 
     #[test]
     fn empty_dose_injects_nothing() {
@@ -684,7 +619,7 @@ mod tests {
         frame.ecc.corrected[0] = 3;
         frame.injected_mem_flips = 3;
         report.record_frame(&frame);
-        report.record_escalation();
+        report.escalations = 1;
         let text = report.to_json().to_string();
         assert!(text.contains("\"ecc\":\"secded\""));
         assert!(text.contains("\"corrected_total\":3"));

@@ -64,7 +64,7 @@ pub mod vectors;
 pub mod verify;
 
 pub use ecc::EccMode;
-pub use integrity::{IntegrityConfig, IntegrityFault, IntegrityReport, SoftErrorDose, ECC_ENV};
+pub use integrity::{IntegrityFault, IntegrityReport, SoftErrorDose, ECC_ENV};
 pub use pipeline::{AcceleratorConfig, AcceleratorReport, HogAccelerator};
 pub use shard::{ShardConfig, ShardFleet, ShardGeometry};
 pub use stream::StreamStats;

@@ -29,6 +29,12 @@ use rtped_svm::LinearSvm;
 
 use crate::svm_engine::{QuantizedModel, WindowScore};
 
+/// The per-window score tolerance the accelerator's lockstep channel
+/// runs with: above the fixed-point quantization band
+/// (`verify::compare_pipelines` signs off at 0.05 score MAE), below any
+/// single-feature corruption.
+pub const TOLERANCE: f64 = 0.25;
+
 /// One window scored by both channels: the hardware score and the golden
 /// float score at the same coordinates. This is the per-window comparison
 /// under both the lockstep checker and `verify::compare_pipelines`.

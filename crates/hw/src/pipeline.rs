@@ -27,8 +27,8 @@ use rtped_svm::LinearSvm;
 
 use crate::ecc::EccMode;
 use crate::hist_unit::HistogramUnit;
-use crate::integrity::{FrameIntegrity, IntegrityConfig, ShardQuarantineEvent, SoftErrorDose};
-use crate::lockstep::{LockstepChecker, LockstepReport};
+use crate::integrity::{FrameIntegrity, ShardQuarantineEvent, SoftErrorDose};
+use crate::lockstep::{self, LockstepChecker, LockstepReport};
 use crate::norm_unit::{HwFeatureMap, NormalizerUnit};
 use crate::scaler::FeatureScaler;
 use crate::shard::{bands, shard_doses, Band, ShardFleet, ShardGeometry};
@@ -167,37 +167,27 @@ impl PipelineWatchdog {
 
     /// Feeds one strip's observation against its cycle budget — the
     /// geometry-derived schedule of the shard that ran it
-    /// ([`ShardGeometry::strip_cycles`]).
+    /// ([`ShardGeometry::strip_cycles`]) — recording an overrun before a
+    /// stall. Returns whether the strip violated the schedule.
     pub fn observe_strip_budget(
         &mut self,
         obs: &StripObservation,
         budget: u64,
         expected_windows: usize,
-    ) {
+    ) -> bool {
+        let before = self.events.len();
         let strip = obs.strip;
-        self.events.extend(
-            Self::violations(obs, budget, expected_windows)
-                .map(|kind| WatchdogEvent { strip, kind }),
-        );
-    }
-
-    /// The schedule rule itself: what one strip observation violates, an
-    /// overrun before a stall. Fault containment applies the same rule
-    /// whether or not a watchdog is recording.
-    pub fn violations(
-        obs: &StripObservation,
-        budget: u64,
-        expected_windows: usize,
-    ) -> impl Iterator<Item = WatchdogKind> {
-        let overrun = (obs.observed_cycles > budget).then_some(WatchdogKind::Overrun {
-            observed: obs.observed_cycles,
-            budget,
-        });
-        let stall = (obs.windows < expected_windows).then_some(WatchdogKind::Stall {
-            windows: obs.windows,
-            expected: expected_windows,
-        });
-        overrun.into_iter().chain(stall)
+        if obs.observed_cycles > budget {
+            let observed = obs.observed_cycles;
+            let kind = WatchdogKind::Overrun { observed, budget };
+            self.events.push(WatchdogEvent { strip, kind });
+        }
+        if obs.windows < expected_windows {
+            let (windows, expected) = (obs.windows, expected_windows);
+            let kind = WatchdogKind::Stall { windows, expected };
+            self.events.push(WatchdogEvent { strip, kind });
+        }
+        self.events.len() > before
     }
 
     /// Consumes the watchdog, yielding its violations in observation
@@ -262,16 +252,16 @@ impl HogAccelerator {
         NormalizerUnit::new().process(&grid)
     }
 
-    /// Runs one frame through the full pipeline: the integrity-off,
-    /// undosed, unsharded case of [`HogAccelerator::process_with_integrity`].
+    /// Runs one frame through the full pipeline with no integrity
+    /// mechanism armed: the unprotected, undosed, unsharded case of
+    /// [`HogAccelerator::process_with_integrity`].
     ///
     /// # Panics
     ///
     /// Panics if the frame is smaller than 2×2 cells.
     #[must_use]
     pub fn process(&self, frame: &GrayImage) -> AcceleratorReport {
-        let off = IntegrityConfig::off();
-        self.run(frame, None, &off, &SoftErrorDose::none(), None).0
+        self.run(frame, None, &SoftErrorDose::none(), None).0
     }
 
     /// The raw score of every window of `map` through this accelerator's
@@ -293,17 +283,18 @@ impl HogAccelerator {
             .scores
     }
 
-    /// Runs one frame through the integrity-instrumented pipeline: ECC'd
-    /// memories and checked MACBARs on every scale, plus — on the native
-    /// scale — the lockstep cross-check against `golden` (the float model
-    /// this accelerator was quantized from) and the schedule watchdog.
-    /// The deterministic `dose` strikes the native scale only.
+    /// Runs one frame through the integrity-instrumented pipeline. Every
+    /// mechanism is armed: `ecc`-protected memories (SECDED, or
+    /// [`EccMode::Off`] for the unprotected-memory ablation) and checked
+    /// MACBARs on every scale, plus — on the native scale — the lockstep
+    /// cross-check against `golden` (the float model this accelerator was
+    /// quantized from) at [`lockstep::TOLERANCE`] and the schedule
+    /// watchdog. The deterministic `dose` strikes the native scale only.
     ///
     /// With no `fleet` the native map runs on one engine, and an
     /// uncorrectable fault is reported while the frame is still served.
-    /// With [`IntegrityConfig::off`] and an empty dose the
-    /// [`AcceleratorReport`] is then bit-identical to
-    /// [`HogAccelerator::process`].
+    /// With an empty dose the [`AcceleratorReport`] is then bit-identical
+    /// to [`HogAccelerator::process`], in either ECC mode.
     ///
     /// With a [`ShardFleet`] — the multi-accelerator deployment with fault
     /// containment — the native map is split into contiguous strip bands
@@ -332,27 +323,28 @@ impl HogAccelerator {
         &self,
         frame: &GrayImage,
         golden: &LinearSvm,
-        integrity: &IntegrityConfig,
+        ecc: EccMode,
         dose: &SoftErrorDose,
         fleet: Option<&mut ShardFleet>,
     ) -> (AcceleratorReport, FrameIntegrity) {
-        self.run(frame, Some(golden), integrity, dose, fleet)
+        self.run(frame, Some((golden, ecc)), dose, fleet)
     }
 
     /// The one frame loop behind both entry points: one pass per scale
-    /// over that scale's strip bands. `golden: None` disarms lockstep.
+    /// over that scale's strip bands. `armed` carries the golden model
+    /// and the ECC mode when the integrity mechanisms run; `None` arms
+    /// none of them.
     fn run(
         &self,
         frame: &GrayImage,
-        golden: Option<&LinearSvm>,
-        integrity: &IntegrityConfig,
+        armed: Option<(&LinearSvm, EccMode)>,
         dose: &SoftErrorDose,
         mut fleet: Option<&mut ShardFleet>,
     ) -> (AcceleratorReport, FrameIntegrity) {
         let geometry = self.config.geometry;
         let extractor_cycles = pixel_stream_cycles(frame.width(), frame.height());
         let mut fi = FrameIntegrity::default();
-        let mut watchdog = integrity.watchdog.then(PipelineWatchdog::new);
+        let mut watchdog = armed.is_some().then(PipelineWatchdog::new);
         if let Some(fleet) = fleet.as_deref_mut() {
             assert_eq!(
                 fleet.geometry(),
@@ -368,13 +360,11 @@ impl HogAccelerator {
         // sees the same delivered frame, so only datapath divergence (not
         // input corruption) can trip it.
         let params = HogParams::pedestrian();
-        let golden = integrity
-            .lockstep_tolerance
-            .zip(golden)
-            .map(|(tolerance, model)| {
-                let map = FeatureMap::extract(frame, &params);
-                (LockstepChecker::new(tolerance), map, model)
-            });
+        let golden = armed.map(|(model, _)| {
+            let map = FeatureMap::extract(frame, &params);
+            (LockstepChecker::new(lockstep::TOLERANCE), map, model)
+        });
+        let (ecc, checked) = armed.map_or((EccMode::Off, false), |(_, ecc)| (ecc, true));
         let lockstep = |scores: &[WindowScore]| {
             golden
                 .as_ref()
@@ -441,7 +431,6 @@ impl HogAccelerator {
                     continue;
                 }
                 let classify = |dose: &SoftErrorDose| {
-                    let (ecc, checked) = (integrity.ecc, integrity.checked_macbar);
                     let strips = band.strip_lo..band.strip_hi;
                     engine.classify_band(map, &self.model, ecc, checked, dose, strips)
                 };
@@ -464,23 +453,24 @@ impl HogAccelerator {
                 // its scores are thrown away — a contained fault must not
                 // become a silent one.
                 fi.absorb(&attempt);
+                // Only the native map is dosed and only it can run on a
+                // fleet, so the schedule and lockstep checks skip the rest.
+                // A fleet is only ever passed with every mechanism armed,
+                // so containment reads the watchdog's verdict.
                 let mut attempt_lockstep = None;
+                let mut off_schedule = false;
                 if native {
                     if let Some(wd) = watchdog.as_mut() {
                         for obs in &attempt.strips {
-                            wd.observe_strip_budget(obs, strip_budget, expected_windows);
+                            off_schedule |=
+                                wd.observe_strip_budget(obs, strip_budget, expected_windows);
                         }
                     }
                     attempt_lockstep = lockstep(&attempt.scores);
                 }
-                let off_schedule = |obs| {
-                    let mut kinds =
-                        PipelineWatchdog::violations(obs, strip_budget, expected_windows);
-                    kinds.next().is_some()
-                };
                 let faulted = attempt.ecc.uncorrectable_total() > 0
                     || attempt.macbar_mismatches > 0
-                    || attempt.strips.iter().any(off_schedule)
+                    || off_schedule
                     || attempt_lockstep.as_ref().is_some_and(|r| !r.is_clean());
                 let (band_scores, band_lockstep) = match shards.as_deref_mut() {
                     Some(f) if faulted => {
@@ -783,10 +773,10 @@ mod tests {
             windows,
             observed_cycles,
         };
-        wd.observe_strip_budget(&obs(0, 25, budget), budget, 25);
+        assert!(!wd.observe_strip_budget(&obs(0, 25, budget), budget, 25));
         assert!(wd.clone().into_events().is_empty());
-        wd.observe_strip_budget(&obs(1, 25, budget + 7), budget, 25);
-        wd.observe_strip_budget(&obs(2, 24, budget), budget, 25);
+        assert!(wd.observe_strip_budget(&obs(1, 25, budget + 7), budget, 25));
+        assert!(wd.observe_strip_budget(&obs(2, 24, budget), budget, 25));
         assert_eq!(
             wd.into_events(),
             [
@@ -814,16 +804,15 @@ mod tests {
         let model = pseudo_model(0.1);
         let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
         let plain = acc.process(&frame);
-        for config in [IntegrityConfig::full(), IntegrityConfig::off()] {
+        for ecc in [EccMode::Secded, EccMode::Off] {
             let (report, fi) =
-                acc.process_with_integrity(&frame, &model, &config, &SoftErrorDose::none(), None);
-            assert_eq!(report, plain, "mode {:?}", config.ecc);
+                acc.process_with_integrity(&frame, &model, ecc, &SoftErrorDose::none(), None);
+            assert_eq!(report, plain, "mode {ecc:?}");
             assert_eq!(fi.ecc.detected_total(), 0);
             assert!(fi.watchdog_events.is_empty());
             assert_eq!(fi.macbar_mismatches, 0);
-            if let Some(ls) = &fi.lockstep {
-                assert!(ls.is_clean(), "clean run diverged: {:?}", ls.worst());
-            }
+            let ls = fi.lockstep.as_ref().unwrap();
+            assert!(ls.is_clean(), "clean run diverged: {:?}", ls.worst());
         }
     }
 
@@ -837,8 +826,7 @@ mod tests {
             stall_cycles: 500,
             ..SoftErrorDose::none()
         };
-        let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
+        let (report, fi) = acc.process_with_integrity(&frame, &model, EccMode::Secded, &dose, None);
         assert_eq!(fi.injected_stall_cycles, 500);
         assert_eq!(fi.watchdog_events.len(), 1);
         assert!(matches!(
@@ -863,8 +851,7 @@ mod tests {
             mem_flips: 4,
             ..SoftErrorDose::none()
         };
-        let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
+        let (report, fi) = acc.process_with_integrity(&frame, &model, EccMode::Secded, &dose, None);
         assert!(fi.ecc.corrected_total() >= 4);
         assert_eq!(fi.ecc.uncorrectable_total(), 0);
         assert_eq!(report, plain);
@@ -876,16 +863,16 @@ mod tests {
         let frame = textured(192, 256);
         let model = pseudo_model(0.1);
         let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
-        let integrity = IntegrityConfig::full();
+        let ecc = EccMode::Secded;
         let (single, _) =
-            acc.process_with_integrity(&frame, &model, &integrity, &SoftErrorDose::none(), None);
+            acc.process_with_integrity(&frame, &model, ecc, &SoftErrorDose::none(), None);
         for shards in [1usize, 2, 4, 8] {
             let config = ShardConfig::new(shards, ShardGeometry::paper()).unwrap();
             let mut fleet = ShardFleet::new(&config);
             let (report, fi) = acc.process_with_integrity(
                 &frame,
                 &model,
-                &integrity,
+                ecc,
                 &SoftErrorDose::none(),
                 Some(&mut fleet),
             );
@@ -906,9 +893,9 @@ mod tests {
         let frame = textured(192, 256);
         let model = pseudo_model(0.1);
         let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
-        let integrity = IntegrityConfig::full();
+        let ecc = EccMode::Secded;
         let (clean, _) =
-            acc.process_with_integrity(&frame, &model, &integrity, &SoftErrorDose::none(), None);
+            acc.process_with_integrity(&frame, &model, ecc, &SoftErrorDose::none(), None);
         let dose = SoftErrorDose {
             seed: 9,
             mem_double_flips: 1,
@@ -916,8 +903,7 @@ mod tests {
         };
         let config = ShardConfig::new(4, ShardGeometry::paper()).unwrap();
         let mut fleet = ShardFleet::new(&config);
-        let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &integrity, &dose, Some(&mut fleet));
+        let (report, fi) = acc.process_with_integrity(&frame, &model, ecc, &dose, Some(&mut fleet));
         assert!(fi.ecc.uncorrectable_total() > 0, "double flip went unseen");
         assert_eq!(fi.shard_quarantines.len(), 1);
         assert!(fi.shard_failovers >= 1);
@@ -939,7 +925,7 @@ mod tests {
         let (report, fi) = acc.process_with_integrity(
             &frame,
             &model,
-            &IntegrityConfig::full(),
+            EccMode::Secded,
             &SoftErrorDose::none(),
             Some(&mut fleet),
         );
@@ -951,15 +937,11 @@ mod tests {
     }
 
     #[test]
-    fn containment_holds_the_schedule_even_with_the_watchdog_off() {
+    fn stalled_band_is_recorded_quarantined_and_rerun_clean() {
         let frame = textured(96, 192);
         let model = pseudo_model(0.1);
         let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
         let clean = acc.process(&frame);
-        let integrity = IntegrityConfig {
-            watchdog: false,
-            ..IntegrityConfig::full()
-        };
         let dose = SoftErrorDose {
             seed: 4,
             stall_cycles: 300,
@@ -968,11 +950,15 @@ mod tests {
         let config = ShardConfig::new(2, ShardGeometry::paper()).unwrap();
         let mut fleet = ShardFleet::new(&config);
         let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &integrity, &dose, Some(&mut fleet));
-        // No watchdog recorded the overrun, yet the stalled band's shard
-        // was quarantined and its band re-run clean.
-        assert!(fi.watchdog_events.is_empty());
+            acc.process_with_integrity(&frame, &model, EccMode::Secded, &dose, Some(&mut fleet));
+        // The watchdog recorded the overrun, the stalled band's shard was
+        // quarantined, and its band re-ran clean to the no-fault output.
         assert_eq!(fi.injected_stall_cycles, 300);
+        assert_eq!(fi.watchdog_events.len(), 1);
+        assert!(matches!(
+            fi.watchdog_events[0].kind,
+            WatchdogKind::Overrun { observed, budget } if observed == budget + 300
+        ));
         assert_eq!(fi.shard_quarantines.len(), 1);
         assert_eq!(report.detections, clean.detections);
     }
@@ -987,9 +973,9 @@ mod tests {
             mem_double_flips: 1,
             ..SoftErrorDose::none()
         };
-        let integrity = IntegrityConfig::full();
+        let ecc = EccMode::Secded;
         // One engine: the fault is reported and the frame still served.
-        let (report, fi) = acc.process_with_integrity(&frame, &model, &integrity, &dose, None);
+        let (report, fi) = acc.process_with_integrity(&frame, &model, ecc, &dose, None);
         assert!(fi.ecc.uncorrectable_total() > 0);
         assert_eq!(fi.fleet_exhausted, None);
         assert!(fi.shard_quarantines.is_empty());
@@ -997,8 +983,7 @@ mod tests {
         // One shard: it quarantines itself and the fleet is exhausted.
         let config = ShardConfig::new(1, ShardGeometry::paper()).unwrap();
         let mut fleet = ShardFleet::new(&config);
-        let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &integrity, &dose, Some(&mut fleet));
+        let (report, fi) = acc.process_with_integrity(&frame, &model, ecc, &dose, Some(&mut fleet));
         assert_eq!(fi.fleet_exhausted, Some(1));
         assert!(report.scale_reports.is_empty());
     }
@@ -1040,16 +1025,13 @@ mod tests {
             ..AcceleratorConfig::default()
         };
         let acc = HogAccelerator::new(&model, config);
-        let integrity = IntegrityConfig {
-            ecc: EccMode::Off,
-            ..IntegrityConfig::full()
-        };
+        let ecc = EccMode::Off;
         let dose = SoftErrorDose {
             seed: 5,
             mem_flips: 300,
             ..SoftErrorDose::none()
         };
-        let (_, fi) = acc.process_with_integrity(&frame, &model, &integrity, &dose, None);
+        let (_, fi) = acc.process_with_integrity(&frame, &model, ecc, &dose, None);
         assert_eq!(fi.ecc.detected_total(), 0, "ECC off must observe nothing");
         let ls = fi.lockstep.as_ref().unwrap();
         assert!(

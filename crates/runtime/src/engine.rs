@@ -2,11 +2,10 @@
 //!
 //! # The [`Engine`] trait
 //!
-//! PRs 4–5 grew two parallel frame servers — the software
-//! [`Runtime`] and the hardware [`IntegrityRuntime`](crate::IntegrityRuntime)
-//! — with duplicated entry points. This module unifies them behind one
-//! **object-safe** trait so hosts (the `rtped-serve` daemon, tests,
-//! examples) can drive heterogeneous engines as `Box<dyn Engine>`:
+//! The software [`Runtime`] and the hardware
+//! [`IntegrityRuntime`](crate::IntegrityRuntime) share one **object-safe**
+//! trait, so hosts (the `rtped-serve` daemon, tests, examples) can drive
+//! heterogeneous engines as `Box<dyn Engine>`:
 //!
 //! - [`Engine::serve_frame`] serves **one** frame incrementally and
 //!   returns its [`FrameRecord`] — the daemon's request-at-a-time entry
@@ -18,13 +17,21 @@
 //!   disturbing controller/tracker state, so a long-lived serving
 //!   session can emit periodic reports.
 //!
+//! Both engines serve through one per-frame loop (`session.rs`): fault
+//! delivery, the tracker, the degradation controller, coasting and the
+//! run log are shared, and an engine supplies only its scan — the step
+//! from a delivered image to detections, a modeled latency and any
+//! integrity faults.
+//!
 //! Guarantees, under any plan, for every engine:
 //!
-//! - **zero panics escape**: worker panics are caught
-//!   (`rtped_core::par::try_map`) and surface as
-//!   [`FrameError::WorkerPanic`];
+//! - **zero panics escape**: a plan's injected worker panic surfaces as
+//!   [`FrameError::WorkerPanic`](crate::FrameError::WorkerPanic), and so
+//!   does a genuine panic in the software scan, which runs inside
+//!   `rtped_core::par::try_map`;
 //! - **every frame accounted**: each input frame yields detections,
-//!   coasted tracks, or a typed [`FrameError`] — never silence;
+//!   coasted tracks, or a typed [`FrameError`](crate::FrameError) —
+//!   never silence;
 //! - **bit-identical replay**: latency is modeled, never wall-clock, so
 //!   equal observation sequences produce byte-identical reports across
 //!   runs, hosts, and `RTPED_THREADS` values.
@@ -41,8 +48,8 @@ use crate::config::RuntimeConfig;
 use crate::control::HealthState;
 use crate::deadline::DeadlineBudget;
 use crate::fault::{Delivery, FaultPlan};
-use crate::report::{FrameError, FrameOutcome, FrameRecord, RunReport};
-use crate::session::{Admitted, Session};
+use crate::report::{FrameRecord, RunReport};
+use crate::session::{Scan, Session};
 
 /// A fault-tolerant, deadline-aware frame server, object-safe so daemons
 /// can host heterogeneous engines as `Box<dyn Engine>`.
@@ -165,77 +172,29 @@ impl<D: Detect + Sync + Send> Runtime<D> {
 }
 
 impl<D: Detect + Sync + Send> Engine for Runtime<D> {
-    /// Serves one frame: fault delivery, profile selection, isolated
-    /// detection, tracking, and the controller observation.
+    /// Serves one frame through the session loop; the scan is the
+    /// detector under the state's profile, isolated in
+    /// `rtped_core::par::try_map` so a worker panic becomes a typed error
+    /// instead of unwinding through the frame loop.
     fn serve_frame(&mut self, frame: &GrayImage, plan: &FaultPlan) -> FrameRecord {
-        let index = self.session.next_index();
-        let state = self.session.state();
-        let (image, fault_labels, delay_ms, worker_panic) =
-            match self.session.deliver(index, state, frame, plan) {
-                Admitted::Rejected(record) => return record,
-                Admitted::Frame {
-                    image,
-                    fault_labels,
-                    delay_ms,
-                    worker_panic,
-                    ..
-                } => (image, fault_labels, delay_ms, worker_panic),
-            };
-
-        // SafeFallback scans with the deepest shed profile as a probe;
-        // any other state scans with its own profile.
-        let profile = state.profile();
-        let (width, height) = image.dimensions();
-        let modeled_ms =
-            self.config
-                .cost_model
-                .frame_cost_ms(width, height, self.detector.config(), &profile)
-                + delay_ms;
-
-        // Panic isolation: the scan runs inside `try_map`, so an injected
-        // (or genuine) worker panic becomes a typed error instead of
-        // unwinding through the frame loop.
-        let detector = &self.detector;
-        let scanned = par::try_map(std::slice::from_ref(&image), |img| {
-            if worker_panic {
-                // rtped-lint: allow(unwrap-in-library, "deliberate fault injection: this panic exists to exercise try_map's panic isolation and is caught below")
-                panic!("injected worker panic at frame {index}");
-            }
-            detector.detect_with_profile(img, &profile)
-        });
-        match scanned {
-            Err(panic) => self.session.fail(
-                index,
-                state,
-                fault_labels,
-                FrameError::WorkerPanic(panic.message),
-            ),
-            Ok(mut results) => {
+        let (detector, cost_model) = (&self.detector, &self.config.cost_model);
+        let window_h = detector.config().params.window_size().1 as f64;
+        self.session.serve(frame, plan, window_h, |delivered| {
+            let (width, height) = delivered.image.dimensions();
+            let profile = delivered.profile;
+            let latency_ms = cost_model.frame_cost_ms(width, height, detector.config(), &profile);
+            let image = std::slice::from_ref(delivered.image);
+            let mut results =
+                par::try_map(image, |img| detector.detect_with_profile(img, &profile))
+                    .map_err(|panic| panic.message)?;
+            Ok(Scan {
                 // try_map over a one-element slice returns exactly one
                 // result on the Ok path; the empty fallback is unreachable.
-                let detections = results.pop().unwrap_or_default();
-                self.session.tracker.step(&detections);
-                let transition = self.session.controller.observe_ok(modeled_ms);
-                let outcome = if state == HealthState::SafeFallback {
-                    // Publish the coasted confirmed tracks; the probe scan
-                    // above only fed the tracker and the controller.
-                    let window_h = self.detector.config().params.window_size().1 as f64;
-                    FrameOutcome::Coasted(self.session.coasted_tracks(window_h))
-                } else {
-                    FrameOutcome::Detections(detections)
-                };
-                self.session.push(
-                    FrameRecord {
-                        index,
-                        state,
-                        faults: fault_labels,
-                        modeled_latency_ms: modeled_ms,
-                        outcome,
-                    },
-                    transition,
-                )
-            }
-        }
+                detections: results.pop().unwrap_or_default(),
+                latency_ms,
+                integrity_faults: Vec::new(),
+            })
+        })
     }
 
     fn state(&self) -> HealthState {
@@ -260,5 +219,48 @@ impl<D: Detect + Sync + Send> Engine for Runtime<D> {
 
     fn take_report(&mut self, seed: u64) -> RunReport {
         self.session.take_report(seed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::{FrameError, FrameOutcome};
+    use rtped_detect::detector::{Detection, DetectorConfig};
+
+    /// A detector whose scan always panics — a genuine worker fault, not
+    /// one a fault plan injected.
+    struct Faulty(DetectorConfig);
+
+    impl Detect for Faulty {
+        fn detect(&self, _frame: &GrayImage) -> Vec<Detection> {
+            panic!("detector fault");
+        }
+
+        fn config(&self) -> &DetectorConfig {
+            &self.0
+        }
+
+        fn method_name(&self) -> &'static str {
+            "faulty"
+        }
+    }
+
+    #[test]
+    fn a_genuine_scan_panic_is_isolated_into_a_typed_error() {
+        let mut runtime = Runtime::new(Faulty(DetectorConfig::two_scale()));
+        let frame = GrayImage::from_fn(64, 128, |x, y| ((x * 7 + y * 3) % 256) as u8);
+        for index in 0..2 {
+            let record = runtime.serve_frame(&frame, &FaultPlan::none());
+            assert_eq!(record.index, index);
+            assert_eq!(record.modeled_latency_ms, 0.0);
+            match record.outcome {
+                FrameOutcome::Error(FrameError::WorkerPanic(message)) => {
+                    assert_eq!(message, "detector fault");
+                }
+                other => panic!("expected a worker panic, got {other:?}"),
+            }
+        }
+        assert_eq!(runtime.take_report(0).frames.len(), 2);
     }
 }

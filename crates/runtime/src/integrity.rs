@@ -3,13 +3,15 @@
 //!
 //! [`IntegrityRuntime`] is the [`crate::Runtime`]'s sibling for the
 //! cycle-accurate hardware model, implementing the same object-safe
-//! [`Engine`] trait: each delivered frame goes through the accelerator's
-//! one frame entry point, `rtped_hw::HogAccelerator::process_with_integrity`
-//! — SECDED-protected feature memory, duplicate-and-compare MACBARs, the
-//! float-golden lockstep channel, and the schedule watchdog — under a
-//! deterministic [`SoftErrorDose`] drawn from the [`FaultPlan`]'s
-//! `soft_errors` fault. A runtime built
-//! [`with_sharding`](IntegrityRuntime::with_sharding) passes its
+//! [`Engine`] trait through the same per-frame session loop. Its scan
+//! runs each delivered frame through the accelerator's one frame entry
+//! point, `rtped_hw::HogAccelerator::process_with_integrity`, with every
+//! mechanism armed — ECC-protected feature memory, duplicate-and-compare
+//! MACBARs, the float-golden lockstep channel, and the schedule watchdog
+//! — under a deterministic [`SoftErrorDose`] drawn from the
+//! [`FaultPlan`]'s `soft_errors` fault. The ECC mode
+//! ([`RuntimeConfig::ecc`]) is the one integrity setting. A runtime
+//! built [`with_sharding`](IntegrityRuntime::with_sharding) passes its
 //! [`ShardFleet`] to the same call, which bands the native map across
 //! the shards with quarantine and failover.
 //!
@@ -18,14 +20,15 @@
 //! controller one rung via `observe_integrity_fault` — the
 //! `integrity_fault` transition cause — and every frame's ECC/lockstep
 //! accounting folds into the run-level [`IntegrityReport`] published in
-//! [`RunReport::integrity`].
+//! [`RunReport::integrity`], whose escalation count is the number of
+//! `integrity_fault` transitions in the same report.
 //!
 //! The loop is serial and every latency is modeled from cycle counts at
 //! the accelerator's clock, so the emitted report is byte-identical
 //! across runs, hosts, and `RTPED_THREADS` values.
 
-use rtped_hw::integrity::{IntegrityConfig, IntegrityReport, SoftErrorDose};
-use rtped_hw::{AcceleratorConfig, ClockDomain, HogAccelerator, ShardConfig, ShardFleet};
+use rtped_hw::integrity::{IntegrityFault, IntegrityReport, SoftErrorDose};
+use rtped_hw::{AcceleratorConfig, ClockDomain, EccMode, HogAccelerator, ShardConfig, ShardFleet};
 use rtped_image::GrayImage;
 use rtped_svm::LinearSvm;
 
@@ -34,8 +37,8 @@ use crate::control::HealthState;
 use crate::deadline::DeadlineBudget;
 use crate::engine::Engine;
 use crate::fault::{Fault, FaultPlan};
-use crate::report::{FrameError, FrameOutcome, FrameRecord, RunReport};
-use crate::session::{Admitted, Session};
+use crate::report::{FrameRecord, RunReport};
+use crate::session::{escalations, Scan, Session};
 
 /// The 64×128 px detection window height anchoring coasted-track scale
 /// estimates (the accelerator's window is fixed).
@@ -47,7 +50,7 @@ const WINDOW_HEIGHT_PX: f64 = 128.0;
 pub struct IntegrityRuntime {
     accelerator: HogAccelerator,
     golden: LinearSvm,
-    integrity: IntegrityConfig,
+    ecc: EccMode,
     budget: DeadlineBudget,
     session: Session,
     report: IntegrityReport,
@@ -57,24 +60,21 @@ pub struct IntegrityRuntime {
 impl IntegrityRuntime {
     /// Builds the runtime around a float model: the accelerator quantizes
     /// it, and the same float model serves as the lockstep golden
-    /// channel. The budget is the (environment-free) default.
+    /// channel. `runtime` supplies the deadline budget and the ECC mode.
     ///
     /// # Panics
     ///
     /// Panics if the model does not fit the accelerator's window (see
     /// [`HogAccelerator::new`]).
     #[must_use]
-    pub fn new(model: LinearSvm, config: AcceleratorConfig, integrity: IntegrityConfig) -> Self {
-        let budget = DeadlineBudget::default();
-        let session = Session::new(budget);
-        let report = IntegrityReport::new(integrity.ecc);
+    pub fn new(model: LinearSvm, config: AcceleratorConfig, runtime: &RuntimeConfig) -> Self {
         Self {
             accelerator: HogAccelerator::new(&model, config),
             golden: model,
-            integrity,
-            budget,
-            session,
-            report,
+            ecc: runtime.ecc,
+            budget: runtime.budget,
+            session: Session::new(runtime.budget),
+            report: IntegrityReport::new(runtime.ecc),
             fleet: None,
         }
     }
@@ -93,104 +93,26 @@ impl IntegrityRuntime {
         self.reset();
         self
     }
-
-    /// Adopts the budget and ECC mode from a validated
-    /// [`RuntimeConfig`] — the daemon's single config path (resets the
-    /// session).
-    #[must_use]
-    pub fn with_runtime_config(mut self, config: &RuntimeConfig) -> Self {
-        self.budget = config.budget;
-        self.integrity.ecc = config.ecc;
-        self.reset();
-        self
-    }
-
-    /// The integrity configuration in force.
-    #[must_use]
-    pub fn integrity_config(&self) -> &IntegrityConfig {
-        &self.integrity
-    }
-
-    /// The wrapped accelerator.
-    #[must_use]
-    pub fn accelerator(&self) -> &HogAccelerator {
-        &self.accelerator
-    }
-
-    /// The shard fleet, when this runtime serves sharded.
-    #[must_use]
-    pub fn fleet(&self) -> Option<&ShardFleet> {
-        self.fleet.as_ref()
-    }
 }
 
 impl Engine for IntegrityRuntime {
+    /// Serves one frame through the session loop; the scan is one
+    /// `process_with_integrity` call under the frame's soft-error dose.
     fn serve_frame(&mut self, frame: &GrayImage, plan: &FaultPlan) -> FrameRecord {
-        let index = self.session.next_index();
-        let state = self.session.state();
-        let (image, faults, mut fault_labels, delay_ms, worker_panic) =
-            match self.session.deliver(index, state, frame, plan) {
-                Admitted::Rejected(record) => return record,
-                Admitted::Frame {
-                    image,
-                    faults,
-                    fault_labels,
-                    delay_ms,
-                    worker_panic,
-                } => (image, faults, fault_labels, delay_ms, worker_panic),
-            };
-        if worker_panic {
-            // The hardware path has no software worker to kill; the
-            // scheduled panic surfaces as the same typed error the
-            // software engine reports, keeping plans portable.
-            return self.session.fail(
-                index,
-                state,
-                fault_labels,
-                FrameError::WorkerPanic(format!("injected worker panic at frame {index}")),
-            );
-        }
-        let dose = dose_from_faults(&faults, plan, index);
-
-        let (hw_report, frame_integrity) = self.accelerator.process_with_integrity(
-            &image,
-            &self.golden,
-            &self.integrity,
-            &dose,
-            self.fleet.as_mut(),
-        );
-        let latency_ms = ClockDomain::MHZ_125.millis(hw_report.frame_cycles()) + delay_ms;
-        let integrity_faults = self.report.record_frame(&frame_integrity);
-        for fault in &integrity_faults {
-            fault_labels.push(format!("integrity:{}", fault.label()));
-        }
-
-        self.session.tracker.step(&hw_report.detections);
-        let transition = if integrity_faults.is_empty() {
-            self.session.controller.observe_ok(latency_ms)
-        } else {
-            let t = self.session.controller.observe_integrity_fault();
-            if t.is_some() {
-                self.report.record_escalation();
-            }
-            t
-        };
-
-        let outcome = if state == HealthState::SafeFallback {
-            FrameOutcome::Coasted(self.session.coasted_tracks(WINDOW_HEIGHT_PX))
-        } else {
-            FrameOutcome::Detections(hw_report.detections)
-        };
-        self.session.push(
-            FrameRecord {
-                index,
-                state,
-                faults: fault_labels,
-                modeled_latency_ms: latency_ms,
-                outcome,
-            },
-            transition,
-        )
+        let (accelerator, golden, ecc) = (&self.accelerator, &self.golden, self.ecc);
+        let (report, fleet) = (&mut self.report, self.fleet.as_mut());
+        self.session
+            .serve(frame, plan, WINDOW_HEIGHT_PX, |delivered| {
+                let dose = dose_from_faults(delivered.faults, plan, delivered.index);
+                let (hw_report, frame_integrity) =
+                    accelerator.process_with_integrity(delivered.image, golden, ecc, &dose, fleet);
+                let faults = report.record_frame(&frame_integrity);
+                Ok(Scan {
+                    latency_ms: ClockDomain::MHZ_125.millis(hw_report.frame_cycles()),
+                    detections: hw_report.detections,
+                    integrity_faults: faults.iter().map(IntegrityFault::label).collect(),
+                })
+            })
     }
 
     fn state(&self) -> HealthState {
@@ -211,7 +133,7 @@ impl Engine for IntegrityRuntime {
 
     fn reset(&mut self) {
         self.session = Session::new(self.budget);
-        self.report = IntegrityReport::new(self.integrity.ecc);
+        self.report = IntegrityReport::new(self.ecc);
         if let Some(fleet) = self.fleet.as_mut() {
             fleet.reset();
         }
@@ -219,10 +141,11 @@ impl Engine for IntegrityRuntime {
 
     fn take_report(&mut self, seed: u64) -> RunReport {
         let mut report = self.session.take_report(seed);
-        report.integrity = Some(std::mem::replace(
-            &mut self.report,
-            IntegrityReport::new(self.integrity.ecc),
-        ));
+        let integrity = std::mem::replace(&mut self.report, IntegrityReport::new(self.ecc));
+        report.integrity = Some(IntegrityReport {
+            escalations: escalations(&report.transitions),
+            ..integrity
+        });
         report
     }
 }

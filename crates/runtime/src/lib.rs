@@ -18,16 +18,21 @@
 //!   with hysteresis on recovery. Latency is *modeled* (a deterministic
 //!   [`CostModel`]), never wall-clock, so control decisions are
 //!   bit-reproducible across hosts and `RTPED_THREADS` values.
-//! - **Isolation & reporting** ([`engine`], [`report`]): worker panics
-//!   are caught per frame (`rtped_core::par::try_map`) and surface as
-//!   typed [`FrameError`]s; every fault, decision, and outcome lands in a
-//!   [`RunReport`] serialized canonically via `rtped_core::json`.
+//! - **Isolation & reporting** ([`engine`], [`report`]): injected worker
+//!   panics, and genuine ones caught per frame in the software scan
+//!   (`rtped_core::par::try_map`), surface as typed [`FrameError`]s;
+//!   every fault, decision, and outcome lands in a [`RunReport`]
+//!   serialized canonically via `rtped_core::json`.
 //! - **Hardware integrity** ([`integrity`]): [`IntegrityRuntime`] drives
-//!   frames through the accelerator's protected datapath (SECDED feature
-//!   memory, checked MACBARs, lockstep golden channel, schedule watchdog)
-//!   under seeded soft-error doses; integrity faults escalate the same
-//!   degradation ladder and the run's ECC/lockstep accounting lands in
-//!   [`RunReport::integrity`].
+//!   frames through the accelerator's protected datapath (ECC feature
+//!   memory, checked MACBARs, lockstep golden channel, schedule watchdog,
+//!   all armed; [`RuntimeConfig::ecc`] picks SECDED or unprotected
+//!   memory) under seeded soft-error doses; integrity faults escalate the
+//!   same degradation ladder and the run's ECC/lockstep accounting lands
+//!   in [`RunReport::integrity`].
+//!
+//! Both engines serve through one per-frame loop — delivery, tracker,
+//! controller, coasting and the run log — and differ only in their scan.
 //!
 //! # Example
 //!

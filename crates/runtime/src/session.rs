@@ -1,39 +1,42 @@
-//! Shared per-session state behind every [`Engine`](crate::Engine).
+//! The per-frame serving loop shared by every [`Engine`](crate::Engine).
 //!
-//! Both engine families — the software [`Runtime`](crate::Runtime) and
-//! the hardware [`IntegrityRuntime`](crate::IntegrityRuntime) — used to
-//! duplicate the same frame-loop scaffolding: fault delivery, controller
-//! observation, tracker bookkeeping, and the run log. This module owns
-//! that scaffolding once, so `serve_frame` implementations only contain
-//! what genuinely differs (how a delivered image becomes detections).
+//! A [`Session`] owns everything the software [`Runtime`](crate::Runtime)
+//! and the hardware [`IntegrityRuntime`](crate::IntegrityRuntime) do
+//! alike: fault delivery and its rejection records, the injected
+//! worker-panic error, the tracker step, the controller observation,
+//! `SafeFallback` coasting, and the run log. An engine supplies only its
+//! scan — the step from a [`Delivered`] frame to a [`Scan`].
 
-use rtped_detect::detector::Detection;
+use rtped_detect::detector::{Detection, ScanProfile};
 use rtped_detect::tracker::{Tracker, TrackerParams};
 use rtped_image::GrayImage;
 
-use crate::control::{Controller, HealthState, Transition};
+use crate::control::{Controller, HealthState, Transition, TransitionCause};
 use crate::deadline::DeadlineBudget;
 use crate::fault::{Delivery, Fault, FaultPlan};
 use crate::report::{FrameError, FrameOutcome, FrameRecord, RunReport, TransitionRecord};
 
-/// The outcome of the delivery phase for one frame.
-#[derive(Debug)]
-pub(crate) enum Admitted {
-    /// The frame survived delivery; scan it.
-    Frame {
-        /// The (possibly corrupted) image.
-        image: GrayImage,
-        /// Faults injected into this frame.
-        faults: Vec<Fault>,
-        /// Their report labels.
-        fault_labels: Vec<String>,
-        /// Injected delivery delay in milliseconds.
-        delay_ms: f64,
-        /// Whether the plan kills the detection worker on this frame.
-        worker_panic: bool,
-    },
-    /// Delivery failed; the error record is already logged.
-    Rejected(FrameRecord),
+/// A frame that survived delivery, as an engine's scan sees it.
+pub(crate) struct Delivered<'a> {
+    /// Frames served before this one since the last reset.
+    pub index: usize,
+    /// The (possibly corrupted) image.
+    pub image: &'a GrayImage,
+    /// The scan profile of the state the frame is served under.
+    pub profile: ScanProfile,
+    /// Faults injected into this frame.
+    pub faults: &'a [Fault],
+}
+
+/// What an engine's scan made of one delivered frame.
+pub(crate) struct Scan {
+    /// The frame's detections.
+    pub detections: Vec<Detection>,
+    /// Modeled compute latency, without the delivery delay.
+    pub latency_ms: f64,
+    /// Labels of the integrity faults the scan raised; any escalates the
+    /// controller through the `integrity_fault` cause.
+    pub integrity_faults: Vec<&'static str>,
 }
 
 /// Mutable state of one serving session: controller, tracker, run log,
@@ -41,8 +44,8 @@ pub(crate) enum Admitted {
 /// session states, whatever the host or thread count.
 #[derive(Debug, Clone)]
 pub(crate) struct Session {
-    pub controller: Controller,
-    pub tracker: Tracker,
+    controller: Controller,
+    tracker: Tracker,
     records: Vec<FrameRecord>,
     transitions: Vec<TransitionRecord>,
     served: usize,
@@ -69,58 +72,91 @@ impl Session {
         self.served
     }
 
-    /// Claims the next frame index.
-    pub fn next_index(&mut self) -> usize {
-        let index = self.served;
-        self.served += 1;
-        index
-    }
-
-    /// Runs the delivery phase for frame `index`: applies the plan's
-    /// dropout/truncation verdicts (logging the error record and feeding
-    /// the controller on rejection) and hands survivors back for the
-    /// engine-specific scan.
-    pub fn deliver(
+    /// Serves the next frame: applies the plan's delivery verdict, runs
+    /// `scan` on a survivor, then steps the tracker, feeds the controller
+    /// and logs the record. A `scan` error is a caught worker panic's
+    /// message. `window_h` (the detection window height in pixels)
+    /// anchors the scale estimate of coasted tracks.
+    pub fn serve(
         &mut self,
-        index: usize,
-        state: HealthState,
         frame: &GrayImage,
         plan: &FaultPlan,
-    ) -> Admitted {
-        match plan.deliver(index, frame) {
-            Delivery::Dropped => Admitted::Rejected(self.fail(
-                index,
-                state,
-                vec!["sensor_dropout".into()],
-                FrameError::SensorDropout,
-            )),
-            Delivery::Truncated { error } => Admitted::Rejected(self.fail(
-                index,
-                state,
-                vec!["truncation".into()],
-                FrameError::TruncatedFrame(error),
-            )),
+        window_h: f64,
+        scan: impl FnOnce(Delivered<'_>) -> Result<Scan, String>,
+    ) -> FrameRecord {
+        let index = self.served;
+        self.served += 1;
+        let state = self.state();
+        let (image, faults, delay_ms, worker_panic) = match plan.deliver(index, frame) {
+            Delivery::Dropped => {
+                let labels = vec!["sensor_dropout".into()];
+                return self.fail(index, state, labels, FrameError::SensorDropout);
+            }
+            Delivery::Truncated { error } => {
+                let labels = vec!["truncation".into()];
+                return self.fail(index, state, labels, FrameError::TruncatedFrame(error));
+            }
             Delivery::Frame {
                 image,
                 faults,
                 delay_ms,
                 worker_panic,
-            } => {
-                let fault_labels = faults.iter().map(Fault::label).collect();
-                Admitted::Frame {
-                    image,
-                    faults,
-                    fault_labels,
-                    delay_ms,
-                    worker_panic,
-                }
-            }
+            } => (image, faults, delay_ms, worker_panic),
+        };
+        let mut labels: Vec<String> = faults.iter().map(Fault::label).collect();
+        if worker_panic {
+            let message = format!("injected worker panic at frame {index}");
+            return self.fail(index, state, labels, FrameError::WorkerPanic(message));
         }
+
+        // SafeFallback scans with the deepest shed profile as a probe;
+        // any other state scans with its own profile.
+        let delivered = Delivered {
+            index,
+            image: &image,
+            profile: state.profile(),
+            faults: &faults,
+        };
+        let scan = match scan(delivered) {
+            Ok(scan) => scan,
+            Err(message) => {
+                return self.fail(index, state, labels, FrameError::WorkerPanic(message));
+            }
+        };
+        let latency_ms = scan.latency_ms + delay_ms;
+        self.tracker.step(&scan.detections);
+        let transition = if scan.integrity_faults.is_empty() {
+            self.controller.observe_ok(latency_ms)
+        } else {
+            labels.extend(
+                scan.integrity_faults
+                    .iter()
+                    .map(|l| format!("integrity:{l}")),
+            );
+            self.controller.observe_integrity_fault()
+        };
+        let outcome = if state == HealthState::SafeFallback {
+            // Publish the coasted confirmed tracks; the probe scan only
+            // fed the tracker and the controller.
+            FrameOutcome::Coasted(self.coasted_tracks(window_h))
+        } else {
+            FrameOutcome::Detections(scan.detections)
+        };
+        self.push(
+            FrameRecord {
+                index,
+                state,
+                faults: labels,
+                modeled_latency_ms: latency_ms,
+                outcome,
+            },
+            transition,
+        )
     }
 
     /// Logs a frame that failed with a typed error, feeding the
     /// controller's error path.
-    pub fn fail(
+    fn fail(
         &mut self,
         index: usize,
         state: HealthState,
@@ -143,10 +179,9 @@ impl Session {
         )
     }
 
-    /// Logs a completed frame record plus the transition its observation
-    /// triggered (the caller already fed the controller), returning the
-    /// record for the caller to hand out.
-    pub fn push(&mut self, record: FrameRecord, transition: Option<Transition>) -> FrameRecord {
+    /// Logs a frame record plus the transition its observation triggered,
+    /// returning the record for the caller to hand out.
+    fn push(&mut self, record: FrameRecord, transition: Option<Transition>) -> FrameRecord {
         if let Some(t) = transition {
             self.transitions.push(TransitionRecord {
                 frame: record.index,
@@ -158,9 +193,8 @@ impl Session {
     }
 
     /// The tracker's confirmed tracks rendered as detections — the
-    /// `SafeFallback` coast output. `window_h` (the detection window
-    /// height in pixels) anchors the scale estimate.
-    pub fn coasted_tracks(&self, window_h: f64) -> Vec<Detection> {
+    /// `SafeFallback` coast output.
+    fn coasted_tracks(&self, window_h: f64) -> Vec<Detection> {
         self.tracker
             .confirmed()
             .map(|t| Detection {
@@ -188,4 +222,11 @@ impl Session {
             integrity: None,
         }
     }
+}
+
+/// Integrity escalations in a drained transition log: only
+/// `observe_integrity_fault` produces the `integrity_fault` cause.
+pub(crate) fn escalations(transitions: &[TransitionRecord]) -> u64 {
+    let integrity = |t: &&TransitionRecord| t.transition.cause == TransitionCause::IntegrityFault;
+    transitions.iter().filter(integrity).count() as u64
 }

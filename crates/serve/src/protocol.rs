@@ -30,7 +30,7 @@
 //! | `draining`     | `message`                                     |
 //! | `shutdown_ack` | `served`                                      |
 
-use rtped_core::json::{obj, required_field};
+use rtped_core::json::{obj, required_field, schema_kind};
 use rtped_core::{Error, FromJson, Json, ToJson};
 use rtped_image::GrayImage;
 use rtped_runtime::FrameRecord;
@@ -52,18 +52,7 @@ pub const MAX_FRAME_DIM: u32 = 2048;
 /// Returns [`Error::Format`] on a missing/mistyped header or an
 /// unsupported version.
 pub fn message_kind(json: &Json, noun: &str) -> Result<String, Error> {
-    let format = required_field(json, "format")?
-        .as_u64()
-        .ok_or_else(|| Error::format("field \"format\" must be a non-negative integer"))?;
-    if format != PROTOCOL_VERSION {
-        return Err(Error::format(format!(
-            "unsupported {noun} format {format} (this build reads format {PROTOCOL_VERSION})"
-        )));
-    }
-    required_field(json, "kind")?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| Error::format("field \"kind\" must be a string"))
+    schema_kind(json, noun, PROTOCOL_VERSION).map(str::to_string)
 }
 
 /// How a request describes its frame. Synthetic frames keep load

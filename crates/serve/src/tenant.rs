@@ -21,7 +21,6 @@ use std::sync::{Mutex, PoisonError};
 use rtped_core::rng::SeedRng;
 use rtped_core::Rng;
 use rtped_detect::{DetectorConfig, FeaturePyramidDetector};
-use rtped_hw::integrity::IntegrityConfig;
 use rtped_hw::{AcceleratorConfig, ShardConfig, ShardGeometry};
 use rtped_runtime::{Engine, FaultPlan, IntegrityRuntime, Runtime, RuntimeConfig};
 use rtped_svm::LinearSvm;
@@ -82,8 +81,7 @@ pub fn build_engine(name: &str, config: &RuntimeConfig) -> Box<dyn Engine> {
             scales: vec![1.0],
             ..AcceleratorConfig::default()
         };
-        let runtime = IntegrityRuntime::new(pseudo_model(dim), accel, IntegrityConfig::full())
-            .with_runtime_config(config);
+        let runtime = IntegrityRuntime::new(pseudo_model(dim), accel, config);
         Box::new(
             match shards.and_then(|n| ShardConfig::new(n, ShardGeometry::paper()).ok()) {
                 // hw_shard_count only admits 1..=16, so the config always

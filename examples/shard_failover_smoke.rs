@@ -10,10 +10,9 @@
 //! ```
 
 use rtped::core::ToJson;
-use rtped::hw::integrity::IntegrityConfig;
 use rtped::hw::{AcceleratorConfig, ShardConfig, ShardGeometry};
 use rtped::image::GrayImage;
-use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime};
+use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime, RuntimeConfig};
 use rtped::svm::LinearSvm;
 
 fn main() {
@@ -43,7 +42,7 @@ fn main() {
 
     // The reference: the same frames through the same fleet, clean.
     let build = |shards| {
-        IntegrityRuntime::new(model.clone(), config.clone(), IntegrityConfig::full())
+        IntegrityRuntime::new(model.clone(), config.clone(), &RuntimeConfig::default())
             .with_sharding(ShardConfig::new(shards, ShardGeometry::paper()).unwrap())
     };
     let clean = build(4).run(&frames, &FaultPlan::none());

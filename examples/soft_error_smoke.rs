@@ -12,7 +12,6 @@
 //! ```
 
 use rtped::core::ToJson;
-use rtped::hw::integrity::IntegrityConfig;
 use rtped::hw::{AcceleratorConfig, EccMode};
 use rtped::image::GrayImage;
 use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime, RuntimeConfig};
@@ -32,9 +31,9 @@ fn main() {
     // `RTPED_ECC=off` runs the unprotected-memory ablation; everything
     // else (checked MACBAR, lockstep, watchdog) stays armed. The runtime
     // config is the one reader of the environment.
-    let mut runtime = IntegrityRuntime::new(model, config, IntegrityConfig::full())
-        .with_runtime_config(&RuntimeConfig::from_env());
-    let ecc = runtime.integrity_config().ecc;
+    let runtime_config = RuntimeConfig::from_env();
+    let ecc = runtime_config.ecc;
+    let mut runtime = IntegrityRuntime::new(model, config, &runtime_config);
 
     // 20 synthetic frames; every frame takes a soft-error dose.
     let frames: Vec<GrayImage> = (0..20)

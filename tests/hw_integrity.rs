@@ -3,13 +3,15 @@
 //! unprotected corruption, and the integrity runtime's report is
 //! byte-stable and escalates through the `integrity_fault` cause.
 
-use rtped::core::ToJson;
-use rtped::hw::integrity::{IntegrityConfig, SoftErrorDose};
+use rtped::core::{check, check_assert, check_assert_eq, ToJson};
+use rtped::hw::integrity::SoftErrorDose;
 use rtped::hw::{
     AcceleratorConfig, EccMode, HogAccelerator, ShardConfig, ShardFleet, ShardGeometry,
 };
 use rtped::image::GrayImage;
-use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime, TransitionCause};
+use rtped::runtime::{
+    Engine, FaultPlan, IntegrityRuntime, RunReport, RuntimeConfig, TransitionCause,
+};
 use rtped::svm::LinearSvm;
 
 fn textured(w: usize, h: usize, phase: usize) -> GrayImage {
@@ -45,8 +47,7 @@ fn every_seeded_single_bit_campaign_is_corrected_bit_identically() {
             mem_flips: 3,
             ..SoftErrorDose::none()
         };
-        let (report, fi) =
-            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
+        let (report, fi) = acc.process_with_integrity(&frame, &model, EccMode::Secded, &dose, None);
         assert!(
             fi.ecc.corrected_total() >= 3,
             "seed {seed}: only {} corrected",
@@ -69,8 +70,7 @@ fn every_seeded_double_bit_campaign_is_detected_and_flagged() {
             mem_double_flips: 1,
             ..SoftErrorDose::none()
         };
-        let (_, fi) =
-            acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
+        let (_, fi) = acc.process_with_integrity(&frame, &model, EccMode::Secded, &dose, None);
         assert!(
             fi.ecc.uncorrectable_total() >= 1,
             "seed {seed}: double flip escaped detection"
@@ -89,16 +89,12 @@ fn lockstep_catches_what_disabled_ecc_lets_through() {
     let frame = textured(96, 160, 2);
     let model = pseudo_model(0.1);
     let acc = accelerator(&model);
-    let unprotected = IntegrityConfig {
-        ecc: EccMode::Off,
-        ..IntegrityConfig::full()
-    };
     let dose = SoftErrorDose {
         seed: 13,
         mem_flips: 300,
         ..SoftErrorDose::none()
     };
-    let (_, fi) = acc.process_with_integrity(&frame, &model, &unprotected, &dose, None);
+    let (_, fi) = acc.process_with_integrity(&frame, &model, EccMode::Off, &dose, None);
     assert_eq!(fi.ecc.detected_total(), 0);
     assert!(
         fi.faults()
@@ -119,7 +115,7 @@ fn watchdog_reports_schedule_overruns() {
         stall_cycles: 1000,
         ..SoftErrorDose::none()
     };
-    let (_, fi) = acc.process_with_integrity(&frame, &model, &IntegrityConfig::full(), &dose, None);
+    let (_, fi) = acc.process_with_integrity(&frame, &model, EccMode::Secded, &dose, None);
     assert!(
         fi.faults().iter().any(|f| f.label() == "watchdog_overrun"),
         "{:?}",
@@ -134,7 +130,7 @@ fn integrity_runtime_escalates_and_never_lets_errors_escape_silently() {
         scales: vec![1.0],
         ..AcceleratorConfig::default()
     };
-    let mut runtime = IntegrityRuntime::new(model, config, IntegrityConfig::full());
+    let mut runtime = IntegrityRuntime::new(model, config, &RuntimeConfig::default());
     let frames: Vec<GrayImage> = (0..12).map(|k| textured(96, 160, k)).collect();
     let report = runtime.run(&frames, &FaultPlan::soft_errors(2017, 1.0));
 
@@ -170,7 +166,7 @@ fn integrity_report_json_is_byte_identical_across_runs_and_thread_counts() {
         scales: vec![1.0],
         ..AcceleratorConfig::default()
     };
-    let mut runtime = IntegrityRuntime::new(model, config, IntegrityConfig::full());
+    let mut runtime = IntegrityRuntime::new(model, config, &RuntimeConfig::default());
     let frames: Vec<GrayImage> = (0..6).map(|k| textured(96, 160, k)).collect();
     let plan = FaultPlan::soft_errors(99, 0.8);
 
@@ -204,7 +200,7 @@ fn sharded_single_bit_storms_are_corrected_per_shard_with_zero_escapes() {
             let (report, fi) = acc.process_with_integrity(
                 &frame,
                 &model,
-                &IntegrityConfig::full(),
+                EccMode::Secded,
                 &dose,
                 Some(&mut fleet),
             );
@@ -248,13 +244,8 @@ fn sharded_double_bit_faults_quarantine_exactly_one_shard() {
             mem_double_flips: 1,
             ..SoftErrorDose::none()
         };
-        let (report, fi) = acc.process_with_integrity(
-            &frame,
-            &model,
-            &IntegrityConfig::full(),
-            &dose,
-            Some(&mut fleet),
-        );
+        let (report, fi) =
+            acc.process_with_integrity(&frame, &model, EccMode::Secded, &dose, Some(&mut fleet));
         assert_eq!(
             fi.shard_quarantines.len(),
             1,
@@ -275,15 +266,74 @@ fn ecc_off_empty_dose_matches_the_unprotected_pipeline_exactly() {
     let model = pseudo_model(0.1);
     let acc = HogAccelerator::new(&model, AcceleratorConfig::default());
     let plain = acc.process(&frame);
-    let (report, fi) = acc.process_with_integrity(
-        &frame,
-        &model,
-        &IntegrityConfig::off(),
-        &SoftErrorDose::none(),
-        None,
-    );
+    let (report, fi) =
+        acc.process_with_integrity(&frame, &model, EccMode::Off, &SoftErrorDose::none(), None);
     assert_eq!(report, plain);
     assert_eq!(fi.ecc.detected_total(), 0);
-    assert!(fi.lockstep.is_none());
+    assert!(fi.lockstep.as_ref().is_some_and(|l| l.is_clean()));
     assert!(fi.watchdog_events.is_empty());
+}
+
+/// The `integrity_fault` transitions of a report, checked against its
+/// frame log: each lands on a frame that carries integrity fault labels.
+fn integrity_transitions(report: &RunReport) -> u64 {
+    let mut count = 0;
+    for t in &report.transitions {
+        if t.transition.cause == TransitionCause::IntegrityFault {
+            let frame = report.frames.iter().find(|f| f.index == t.frame).unwrap();
+            assert!(
+                frame.faults.iter().any(|l| l.starts_with("integrity:")),
+                "integrity_fault transition on frame {} without an integrity label",
+                t.frame
+            );
+            count += 1;
+        }
+    }
+    count
+}
+
+check! {
+    #![cases = 12]
+
+    /// Under seeded soft-error plans, on a single accelerator and on a
+    /// 4-shard fleet, the integrity block's escalation count equals the
+    /// number of `integrity_fault` transitions in the same report — for
+    /// a whole run and for each half of a run drained in two reports.
+    fn escalations_count_the_integrity_fault_transitions(
+        seed in 0u64..1_000,
+        sharded in 0usize..2,
+        rate_pick in 0usize..3,
+        split in 0usize..9,
+    ) {
+        let config = AcceleratorConfig {
+            scales: vec![1.0],
+            ..AcceleratorConfig::default()
+        };
+        let mut runtime =
+            IntegrityRuntime::new(pseudo_model(0.1), config, &RuntimeConfig::default());
+        if sharded == 1 {
+            let fleet = ShardConfig::new(4, ShardGeometry::paper()).unwrap();
+            runtime = runtime.with_sharding(fleet);
+        }
+        let frames: Vec<GrayImage> = (0..8).map(|k| textured(96, 192, k)).collect();
+        let plan = FaultPlan::soft_errors(seed, [0.3, 0.7, 1.0][rate_pick]);
+
+        let whole = runtime.run(&frames, &plan);
+        let escalations = whole.integrity.as_ref().unwrap().escalations;
+        check_assert_eq!(escalations, integrity_transitions(&whole));
+
+        runtime.reset();
+        let mut halves = 0;
+        for part in [&frames[..split], &frames[split..]] {
+            for frame in part {
+                let _ = runtime.serve_frame(frame, &plan);
+            }
+            let report = runtime.take_report(seed);
+            let counted = report.integrity.as_ref().unwrap().escalations;
+            check_assert_eq!(counted, integrity_transitions(&report));
+            halves += counted;
+        }
+        check_assert_eq!(halves, escalations);
+        check_assert!(whole.integrity.as_ref().unwrap().silent_escapes() == 0);
+    }
 }

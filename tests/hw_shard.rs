@@ -5,11 +5,13 @@
 //! quarantined fleet escalates loudly instead of serving silence.
 
 use rtped::core::{check, check_assert, check_assert_eq, ToJson};
-use rtped::hw::integrity::{IntegrityConfig, SoftErrorDose};
+use rtped::hw::integrity::SoftErrorDose;
 use rtped::hw::shard::COOLDOWN_FRAMES;
-use rtped::hw::{AcceleratorConfig, HogAccelerator, ShardConfig, ShardFleet, ShardGeometry};
+use rtped::hw::{
+    AcceleratorConfig, EccMode, HogAccelerator, ShardConfig, ShardFleet, ShardGeometry,
+};
 use rtped::image::GrayImage;
-use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime};
+use rtped::runtime::{Engine, FaultPlan, IntegrityRuntime, RuntimeConfig};
 use rtped::svm::LinearSvm;
 
 fn textured(w: usize, h: usize, phase: usize) -> GrayImage {
@@ -57,7 +59,7 @@ check! {
         let (banded, fi) = acc.process_with_integrity(
             &frame,
             &model,
-            &IntegrityConfig::full(),
+            EccMode::Secded,
             &SoftErrorDose::none(),
             Some(&mut f),
         );
@@ -86,7 +88,7 @@ check! {
         let (banded, fi) = acc.process_with_integrity(
             &frame,
             &model,
-            &IntegrityConfig::full(),
+            EccMode::Secded,
             &dose,
             Some(&mut f),
         );
@@ -114,19 +116,19 @@ check! {
         let mut f = fleet(shards);
         let dose = SoftErrorDose { seed, mem_double_flips: 1, ..SoftErrorDose::none() };
         let (_, fi) = acc.process_with_integrity(
-            &frame, &model, &IntegrityConfig::full(), &dose, Some(&mut f),
+            &frame, &model, EccMode::Secded, &dose, Some(&mut f),
         );
         check_assert_eq!(fi.shards_active, (shards - 1) as u64);
         // Clean frames during the cooldown: the quarantined shard's band
         // is reassigned (failover) without any new quarantine.
         let (_, fi2) = acc.process_with_integrity(
-            &frame, &model, &IntegrityConfig::full(), &SoftErrorDose::none(), Some(&mut f),
+            &frame, &model, EccMode::Secded, &SoftErrorDose::none(), Some(&mut f),
         );
         check_assert!(fi2.shard_quarantines.is_empty());
         check_assert!(fi2.shard_failovers >= 1);
         for _ in 0..COOLDOWN_FRAMES {
             let (_, _) = acc.process_with_integrity(
-                &frame, &model, &IntegrityConfig::full(), &SoftErrorDose::none(), Some(&mut f),
+                &frame, &model, EccMode::Secded, &SoftErrorDose::none(), Some(&mut f),
             );
         }
         check_assert_eq!(f.healthy().len(), shards);
@@ -146,13 +148,8 @@ fn exhausted_fleet_escalates_instead_of_serving_silence() {
     };
     // The only shard faults and quarantines; no healthy shard remains to
     // take the band, so the frame is refused loudly.
-    let (report, fi) = acc.process_with_integrity(
-        &frame,
-        &model,
-        &IntegrityConfig::full(),
-        &dose,
-        Some(&mut f),
-    );
+    let (report, fi) =
+        acc.process_with_integrity(&frame, &model, EccMode::Secded, &dose, Some(&mut f));
     assert_eq!(fi.fleet_exhausted, Some(1));
     assert!(
         fi.faults().iter().any(|f| f.label() == "fleet_exhausted"),
@@ -171,7 +168,7 @@ fn sharded_runtime_report_is_byte_identical_across_thread_counts() {
             scales: vec![1.0],
             ..AcceleratorConfig::default()
         };
-        IntegrityRuntime::new(model, config, IntegrityConfig::full())
+        IntegrityRuntime::new(model, config, &RuntimeConfig::default())
             .with_sharding(ShardConfig::new(4, ShardGeometry::paper()).unwrap())
     };
     let frames: Vec<GrayImage> = (0..8).map(|k| textured(96, 160, k)).collect();
